@@ -55,8 +55,9 @@ class CliError(Exception):
 def _load_graph(arg: str) -> Graph:
     if os.path.isfile(arg):
         try:
-            return read_graph_text(open(arg).read())
-        except ValueError as e:
+            with open(arg) as fh:
+                return read_graph_text(fh.read())
+        except (OSError, ValueError) as e:
             raise CliError(f"cannot read graph file {arg}: {e}") from None
     try:
         return family(arg)
@@ -233,10 +234,11 @@ def cmd_morse(args) -> int:
 
 def cmd_realize(args) -> int:
     try:
-        obj = json.load(open(args.complex))
-    except (OSError, json.JSONDecodeError) as e:
+        with open(args.complex) as fh:
+            obj = json.load(fh)
+        cx = SimplicialComplex.from_json_obj(obj)
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot read complex JSON: {e}") from None
-    cx = SimplicialComplex.from_json_obj(obj)
     g, k = realize_as_cut_complex(cx)
     round_trip = cut_complex(g, k) == SimplicialComplex(cx.facets)
     chordal, _ = is_chordal(g)

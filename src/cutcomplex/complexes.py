@@ -55,6 +55,20 @@ class SimplicialComplex:
         self._faces = None
         self._fvec = None
 
+    @classmethod
+    def _from_faces(cls, faces: set, ambient: int) -> SimplicialComplex:
+        """Complex with a known, downward-closed face set: the facets are the
+        faces with no one-vertex extension, so no normalization is needed."""
+        cx = cls.__new__(cls)
+        cx._facets = tuple(sorted(
+            m for m in faces
+            if not any((m | 1 << v) in faces for v in range(ambient) if not (m >> v) & 1)
+        ))
+        cx.ambient = ambient
+        cx._faces = frozenset(faces)
+        cx._fvec = None
+        return cx
+
     # -- state ------------------------------------------------------------
 
     @property
@@ -207,6 +221,36 @@ class SimplicialComplex:
     def suspension(self) -> SimplicialComplex:
         return self.join(SimplicialComplex([(0,), (1,)], ambient=2))
 
+    def alexander_dual(self) -> SimplicialComplex:
+        """{V - σ : σ not a face} over the ambient vertex set V.
+
+        The dual's faces are the sets containing no complement of a facet,
+        and |Δ| + |Δ^∨| = 2^|V|. They are enumerated level by level: a set is
+        a face iff all its one-smaller subsets are faces and it is not itself
+        a facet complement (those are the dual's minimal non-faces). The
+        dual of the void complex is the full simplex, and the dual of the
+        full simplex is void.
+        """
+        n = self.ambient
+        full = (1 << n) - 1
+        blocked = {full & ~f for f in self._facets}
+        if 0 in blocked:
+            return SimplicialComplex([], ambient=n)
+        faces = {0}
+        level = [0]
+        while level:
+            nxt = []
+            for m in level:
+                for v in range(m.bit_length(), n):
+                    cand = m | 1 << v
+                    if cand in blocked:
+                        continue
+                    if all((cand & ~(1 << u)) in faces for u in bits(m)):
+                        nxt.append(cand)
+            faces.update(nxt)
+            level = nxt
+        return SimplicialComplex._from_faces(faces, n)
+
     # -- global properties ---------------------------------------------------
 
     def complete_skeleton_dim(self) -> int:
@@ -235,9 +279,21 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json_obj(obj) -> SimplicialComplex:
-        if obj.get("state") == "void":
-            return SimplicialComplex([], ambient=obj.get("ambient", 0))
-        return SimplicialComplex(obj["facets"], ambient=obj["ambient"])
+        """Inverse of ``to_json_obj``; malformed input raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("complex JSON must be an object")
+        void = obj.get("state") == "void"
+        facets = [] if void else obj.get("facets")
+        ambient = obj.get("ambient", 0 if void else None)
+        if not (
+            isinstance(ambient, int)
+            and isinstance(facets, list)
+            and all(isinstance(f, list) and all(isinstance(v, int) and v >= 0 for v in f) for f in facets)
+        ):
+            raise ValueError(
+                'complex JSON needs "facets" (lists of vertex indices >= 0) and an integer "ambient"'
+            )
+        return SimplicialComplex(facets, ambient=ambient)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):

@@ -5,17 +5,15 @@ the empty face, so homology is reduced), and diagonalized by Smith normal
 form. Free ranks come from the ranks of consecutive boundary maps; torsion
 coefficients are the diagonal entries greater than one.
 
-Everything is exact. The Smith reduction runs on machine int64 via numpy as
-long as a conservative growth bound guarantees no overflow; the moment the
-bound trips, the matrix is redone from scratch with unbounded Python ints.
+Everything is exact: the Smith reduction works on sparse rows of unbounded
+Python ints. Homology is computed on whichever side of Alexander duality has
+fewer faces; for cut complexes that is usually the dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
-
-import numpy as np
 
 from .bitsets import to_tuple
 from .complexes import SimplicialComplex
@@ -39,12 +37,6 @@ class IntMatrix:
         ncols = len(rows[0]) if rows else 0
         return IntMatrix(len(rows), ncols, entries)
 
-    def to_rows(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def multiply(self, other: IntMatrix) -> IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -66,73 +58,10 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-_INT64_SAFE = 1 << 61
-
-
-class _Escalate(Exception):
-    pass
-
-
-def _snf_numpy(nrows, ncols, entries):
-    """int64 diagonalization; raises _Escalate if entries might overflow.
-
-    Active region is A[:ar, :ac]; finished pivot rows/columns are swapped out
-    to the end instead of deleted.
-    """
-    A = np.zeros((nrows, ncols), dtype=np.int64)
-    for (r, c), v in entries.items():
-        if abs(v) >= _INT64_SAFE:
-            raise _Escalate
-        A[r, c] = v
-    diag = []
-    ar, ac = nrows, ncols
-    while ar and ac:
-        act = A[:ar, :ac]
-        nz = np.nonzero(act)
-        if len(nz[0]) == 0:
-            break
-        vals = np.abs(act[nz])
-        vmin = vals.min()
-        # prefer a lowest-fill pivot among the smallest-magnitude entries
-        cand = np.flatnonzero(vals == vmin)
-        if len(cand) > 1:
-            row_nnz = np.count_nonzero(act, axis=1)
-            col_nnz = np.count_nonzero(act, axis=0)
-            fill = (row_nnz[nz[0][cand]] - 1) * (col_nnz[nz[1][cand]] - 1)
-            cand = cand[np.argmin(fill)]
-        else:
-            cand = cand[0]
-        r, c = int(nz[0][cand]), int(nz[1][cand])
-        v = int(act[r, c])
-        bound = int(vals.max())
-        if bound + (bound // abs(v) + 1) * bound >= _INT64_SAFE:
-            raise _Escalate
-        rows = np.flatnonzero(act[:, c])
-        rows = rows[rows != r]
-        if len(rows):
-            q = act[rows, c] // v
-            act[rows, :] -= q[:, None] * act[r, :]
-            if np.any(act[rows, c]):
-                continue  # remainders became new, smaller candidates
-        cols = np.flatnonzero(act[r, :])
-        cols = cols[cols != c]
-        if len(cols):
-            # column c is now zero outside the pivot, so these column
-            # operations only change row r
-            q = act[r, cols] // v
-            act[r, cols] -= q * v
-            if np.any(act[r, cols]):
-                continue
-        diag.append(abs(v))
-        ar -= 1
-        ac -= 1
-        A[[r, ar], :] = A[[ar, r], :]
-        A[:, [c, ac]] = A[:, [ac, c]]
-    return diag
-
 
 def _snf_sparse(nrows, ncols, entries):
-    """Exact reference reduction on dict-of-dicts rows with Python ints."""
+    """Exact reduction on dict-of-dicts rows with Python ints; returns the
+    nonzero diagonal before it is put into divisibility order."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set] = {}
     for (r, c), v in entries.items():
@@ -217,11 +146,7 @@ def _divisibility_chain(diag):
 def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """Diagonal of the Smith normal form (padded with zeros to min(rows, cols))
     and the rank."""
-    try:
-        diag = _snf_numpy(m.nrows, m.ncols, m.entries)
-    except _Escalate:
-        diag = _snf_sparse(m.nrows, m.ncols, m.entries)
-    diag = _divisibility_chain(diag)
+    diag = _divisibility_chain(_snf_sparse(m.nrows, m.ncols, m.entries))
     rank = len(diag)
     diag += [0] * (min(m.nrows, m.ncols) - rank)
     return tuple(diag), rank
@@ -254,10 +179,14 @@ def boundary_matrices(cx: SimplicialComplex) -> list[IntMatrix]:
 
 @dataclass(frozen=True)
 class HomologyReport:
-    """Free rank and torsion coefficients per dimension, -1 through dim."""
+    """Free rank and torsion coefficients per dimension, -1 through dim.
+
+    ``side`` names the complex the groups were computed on: "primal" or its
+    Alexander "dual". It is not part of equality or the JSON output."""
 
     ranks: dict
     torsion: dict
+    side: str = field(default="primal", compare=False)
 
     def betti(self, i: int) -> int:
         return self.ranks.get(i, 0)
@@ -294,17 +223,15 @@ class HomologyReport:
         ]
 
 
-def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
-    if cx.is_void:
-        raise ValueError("the void complex has no homology")
+def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
+    """Free ranks and torsion of H~_i(cx) for i = -1..dim, computed on cx."""
     mats = boundary_matrices(cx)
-    top = cx.dim
     by_dim = cx.faces_by_dim()
     snfs = [smith_normal_form(m) for m in mats]
     rank = [s[1] for s in snfs]
     ranks = {}
     torsion = {}
-    for i in range(-1, top + 1):
+    for i in range(-1, cx.dim + 1):
         ci = 1 if i == -1 else len(by_dim.get(i, []))
         r_in = rank[i] if 0 <= i < len(mats) else 0
         r_out = rank[i + 1] if 0 <= i + 1 < len(mats) else 0
@@ -314,4 +241,38 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
         else:
             tors = ()
         torsion[i] = tors
-    return HomologyReport(ranks, torsion)
+    return ranks, torsion
+
+
+def _dual_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
+    """The same groups as ``_primal_groups``, computed on the Alexander dual.
+
+    Over an ambient set of n vertices, H~_i(Δ; Z) is isomorphic to
+    H~^(n-i-3)(Δ^∨; Z) (Björner and Tancer, "Combinatorial Alexander duality
+    -- a short and elementary proof", DCG 2009). By universal coefficients
+    the free rank of H~_i(Δ) is β_(n-i-3)(Δ^∨) and its torsion is the torsion
+    of H~_(n-i-4)(Δ^∨). The full simplex has a void dual and raises.
+    """
+    n = cx.ambient
+    dual_ranks, dual_torsion = _primal_groups(cx.alexander_dual())
+    dims = range(-1, cx.dim + 1)
+    return (
+        {i: dual_ranks.get(n - i - 3, 0) for i in dims},
+        {i: dual_torsion.get(n - i - 4, ()) for i in dims},
+    )
+
+
+def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
+    """Reduced integer homology, computed on the smaller Alexander-dual side.
+
+    The dual has exactly 2^n - |Δ| faces, so the side is picked from the
+    primal face count alone, and the larger side is never enumerated. Ties
+    and the full simplex, whose dual is void, stay primal.
+    """
+    if cx.is_void:
+        raise ValueError("the void complex has no homology")
+    primal_faces = sum(cx.f_vector())
+    dual_faces = (1 << cx.ambient) - primal_faces
+    if 0 < dual_faces < primal_faces:
+        return HomologyReport(*_dual_groups(cx), side="dual")
+    return HomologyReport(*_primal_groups(cx), side="primal")

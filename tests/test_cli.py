@@ -120,3 +120,22 @@ def test_verify_corpus_json(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert len(report["rows"]) > 20
+
+
+def test_realize_malformed_input_exits_2(tmp_path, capsys):
+    for i, text in enumerate(['{"facets": [[0, 1]]}', "[1, 2]", "{not json", '{"facets": [["a"]], "ambient": 2}',
+                              '{"state": "void"}']):
+        path = tmp_path / f"bad-{i}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "realize", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    code, _, err = run(capsys, "realize", str(tmp_path / "missing.json"))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_malformed_graph_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text("3 2\n0 1\n")
+    code, _, err = run(capsys, "homology", str(path), "--k", "2")
+    assert code == 2 and err.startswith("error: cannot read graph file")

@@ -172,3 +172,37 @@ def test_json_round_trip():
 def test_ambient_validation():
     with pytest.raises(ValueError):
         from_facets([(0, 5)], ambient=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(complexes())
+def test_alexander_dual_matches_definition(cx):
+    n = cx.ambient
+    full = (1 << n) - 1
+    faces = cx.face_set()
+    want = {full & ~s for s in range(1 << n) if s not in faces}
+    dual = cx.alexander_dual()
+    assert dual.face_set() == want
+    assert dual == from_facets(want, ambient=n) and dual.ambient == n
+    assert dual.alexander_dual() == cx
+
+
+def test_alexander_dual_edge_cases():
+    assert full_simplex(3).alexander_dual().is_void
+    assert from_facets([()]).alexander_dual().is_void  # the simplex on no vertices
+    assert from_facets([], ambient=3).alexander_dual() == full_simplex(3)
+    boundary = from_facets([()], ambient=3).alexander_dual()
+    assert set(boundary.facet_tuples()) == {(0, 1), (0, 2), (1, 2)}
+    # for k = 2 the dual of a cut complex is the clique complex of the graph
+    pentagon = cut_complex(family("cycle:5"), 2).alexander_dual()
+    assert set(pentagon.facet_tuples()) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2], {"facets": [[0, 1]]}, {"ambient": 3}, {"facets": [["a"]], "ambient": 3},
+    {"facets": [[0, -1]], "ambient": 3}, {"facets": [[0, 1]], "ambient": "3"},
+    {"state": "void", "ambient": "3"},
+])
+def test_json_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        SimplicialComplex.from_json_obj(obj)

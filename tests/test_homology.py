@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,16 @@ from cutcomplex import (
     boundary_matrices,
     cut_complex,
     family,
+    from_edge_list,
     from_facets,
     full_simplex,
+    realize_as_cut_complex,
     reduced_homology,
     smith_normal_form,
 )
-from cutcomplex.homology import _divisibility_chain, _snf_sparse
+from cutcomplex.homology import HomologyReport, _divisibility_chain, _dual_groups, _primal_groups
+
+from conftest import random_graph
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -75,16 +80,6 @@ def test_snf_invariant_under_shuffles(data, seed):
     assert smith_normal_form(IntMatrix.from_rows(shuffled)) == base
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrices())
-def test_numpy_and_sparse_paths_agree(data):
-    m = IntMatrix.from_rows(data)
-    fast = smith_normal_form(m)
-    slow = _divisibility_chain(_snf_sparse(m.nrows, m.ncols, m.entries))
-    slow = tuple(slow) + (0,) * (min(m.nrows, m.ncols) - len(slow))
-    assert fast[0] == slow
-
-
 def _minor_det(data, rows, cols):
     """Exact determinant of a square submatrix by cofactor expansion."""
     if len(rows) == 1:
@@ -130,7 +125,7 @@ def test_snf_against_determinant_divisor_oracle(data):
 
 
 def test_snf_escalates_on_big_entries():
-    # entries beyond int64 must silently take the exact path
+    # entries beyond int64 stay exact
     big = 1 << 70
     m = IntMatrix(2, 2, {(0, 0): big, (1, 1): 3})
     diag, rank = smith_normal_form(m)
@@ -228,3 +223,74 @@ def test_report_json_shape():
     assert obj[0]["dim"] == -1
     entry = [row for row in obj if row["dim"] == 1][0]
     assert entry == {"dim": 1, "rank": 0, "torsion": [2]}
+
+
+# -- Alexander duality: the dual side must agree with the primal ----------
+
+
+def _both_sides(cx):
+    primal = HomologyReport(*_primal_groups(cx))
+    dual = HomologyReport(*_dual_groups(cx))
+    assert primal == dual
+    assert reduced_homology(cx) == primal
+    return primal
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_dual_and_primal_homology_agree(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for k in range(1, n + 1):
+        cx = cut_complex(g, k)
+        if not cx.is_void:
+            _both_sides(cx)
+
+
+@pytest.mark.parametrize("ambient", [6, 7, 8, 9])
+def test_dual_and_primal_agree_on_rp2(ambient):
+    rp2 = from_facets(RP2_FACETS, ambient=ambient)
+    assert _both_sides(rp2).torsion_at(1) == (2,)
+    assert _both_sides(rp2.cone()).nonzero_dims() == []
+    assert _both_sides(rp2.suspension()).torsion_at(2) == (2,)
+
+
+def test_side_picker_on_the_empty_face_complex():
+    assert reduced_homology(from_facets([()])).side == "primal"  # dual is void
+    empty = from_facets([()], ambient=3)
+    assert reduced_homology(empty).side == "primal"
+    assert _both_sides(empty).ranks == {-1: 1}
+
+
+def test_side_picker_keeps_the_full_simplex_primal():
+    rep = reduced_homology(full_simplex(4))
+    assert rep.side == "primal" and rep.nonzero_dims() == []
+    with pytest.raises(ValueError):
+        _dual_groups(full_simplex(4))
+
+
+def test_side_picker_with_vertices_in_no_facet():
+    # a dual then holds every set missing that vertex, so it is never smaller
+    rep = _both_sides(from_facets(RP2_FACETS, ambient=8))
+    assert reduced_homology(from_facets(RP2_FACETS, ambient=8)).side == "primal"
+    assert rep.torsion_at(1) == (2,)
+    # K_5 plus an isolated vertex 5: the disconnected 3-sets are those holding 5
+    cx = cut_complex(from_edge_list(6, list(combinations(range(5), 2))), 3)
+    assert cx.vertices() == (0, 1, 2, 3, 4)
+    assert reduced_homology(cx).side == "primal"
+    assert _both_sides(cx).free_concentrated(2, 4)  # 2-skeleton of a 4-simplex
+
+
+def test_side_picker_rejects_the_void_complex():
+    with pytest.raises(ValueError):
+        reduced_homology(from_facets([]))
+    with pytest.raises(ValueError):
+        reduced_homology(from_facets([], ambient=3))
+
+
+def test_side_picker_choices():
+    rep = reduced_homology(cut_complex(family("complete_multipartite:6,6"), 2))
+    assert rep.side == "dual" and rep.nonzero_dims() == [8] and rep.betti(8) == 25
+    g, k = realize_as_cut_complex(from_facets(RP2_FACETS))
+    assert (g.n, k) == (16, 13)
+    rep = reduced_homology(cut_complex(g, k))
+    assert rep.side == "primal" and rep.torsion_at(1) == (2,)
