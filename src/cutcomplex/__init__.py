@@ -24,6 +24,7 @@ from .cuts import (
     wedge_anchor_count,
 )
 from .graphs import (
+    FAMILIES,
     FamilySpecError,
     Graph,
     cartesian_product,
@@ -36,6 +37,7 @@ from .graphs import (
     induced_subgraph,
     is_chordal,
     is_connected_subset,
+    parse_family,
     read_graph_text,
     shortest_cycle_length,
     wedge,

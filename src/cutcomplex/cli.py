@@ -27,10 +27,12 @@ from .cuts import (
     skeleton_condition_euler,
 )
 from .graphs import (
+    FAMILIES,
     FamilySpecError,
     Graph,
     family,
     is_chordal,
+    parse_family,
     read_graph_text,
     write_graph_text,
 )
@@ -52,15 +54,16 @@ class CliError(Exception):
     pass
 
 
-def _load_graph(arg: str) -> Graph:
+def _load_graph(arg: str) -> tuple[Graph, str | None]:
+    """The graph named by arg and its family name, or None for a graph file."""
     if os.path.isfile(arg):
         try:
             with open(arg) as fh:
-                return read_graph_text(fh.read())
+                return read_graph_text(fh.read()), None
         except (OSError, ValueError) as e:
             raise CliError(f"cannot read graph file {arg}: {e}") from None
     try:
-        return family(arg)
+        return family(arg), parse_family(arg)[0]
     except FamilySpecError as e:
         raise CliError(str(e)) from None
 
@@ -72,16 +75,30 @@ def _facet_str(g: Graph, mask: int) -> str:
     return "{" + ",".join(labels) + "}"
 
 
-def _print_human(lines):
-    for line in lines:
-        print(line)
-
-
 def _emit(report: dict, as_json: bool, human_lines):
     if as_json:
         print(json.dumps(report, sort_keys=True))
     else:
-        _print_human(human_lines)
+        for line in human_lines:
+            print(line)
+
+
+def _homology_lines(rep, prefix=""):
+    """One ``H~_i: rank ... torsion ...`` line per dimension with nonzero homology."""
+    return [
+        f"{prefix}H~_{i}: rank {rep.betti(i)}" + (f" torsion {list(rep.torsion_at(i))}" if rep.torsion_at(i) else "")
+        for i in rep.nonzero_dims()
+    ]
+
+
+def _predict(spec: str, k: int, cx, rep):
+    """The closed-form prediction for spec and whether the computed homology
+    matches it; (None, True) when no closed form covers spec."""
+    try:
+        pred = predicted_betti(spec, k)
+    except NotCoveredError:
+        return None, True
+    return pred, pred.matches(cx, rep)
 
 
 def _formula_mu(g: Graph, k: int):
@@ -93,7 +110,7 @@ def _formula_mu(g: Graph, k: int):
 
 
 def cmd_build(args) -> int:
-    g = _load_graph(args.graph)
+    g, _ = _load_graph(args.graph)
     cx = cut_complex(g, args.k)
     report = {
         "graph": args.graph,
@@ -130,7 +147,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    g = _load_graph(args.graph)
+    g, name = _load_graph(args.graph)
     cx = cut_complex(g, args.k)
     report = {"graph": args.graph, "n": g.n, "k": args.k}
     lines = [f"graph: {args.graph} (n={g.n})", f"k: {args.k}"]
@@ -145,30 +162,18 @@ def cmd_homology(args) -> int:
         report["homology"] = rep.to_json_obj()
         report["mu"] = cx.reduced_euler()
         report["euler_consistent"] = rep.euler() == cx.reduced_euler()
-        for i in sorted(rep.ranks):
-            tor = rep.torsion_at(i)
-            if rep.betti(i) or tor:
-                tstr = f" torsion {list(tor)}" if tor else ""
-                lines.append(f"H~_{i}: rank {rep.betti(i)}{tstr}")
-        if not rep.nonzero_dims():
-            lines.append("all reduced homology vanishes")
-    status = 0
-    try:
-        pred = predicted_betti(args.graph, args.k)
-        ok = pred.matches(cx, rep)
-        report["predicted"] = pred.to_json_obj()
+        lines += _homology_lines(rep) or ["all reduced homology vanishes"]
+    pred, ok = _predict(args.graph, args.k, cx, rep) if name else (None, True)
+    report["predicted"] = pred.to_json_obj() if pred else None
+    if pred:
         report["predicted_matches"] = ok
         lines.append(f"predicted: {pred.status} dim={pred.dim} count={pred.count} -> {'ok' if ok else 'MISMATCH'}")
-        if not ok:
-            status = MISMATCH
-    except (NotCoveredError, FamilySpecError, ValueError):
-        report["predicted"] = None
     _emit(report, args.json, lines)
-    return status
+    return 0 if ok else MISMATCH
 
 
 def cmd_shell(args) -> int:
-    g = _load_graph(args.graph)
+    g, _ = _load_graph(args.graph)
     cx = cut_complex(g, args.k)
     cert = find_shelling(cx, budget=args.budget)
     report = {
@@ -183,14 +188,14 @@ def cmd_shell(args) -> int:
     return 0
 
 
-def _morse_order(args, g: Graph):
+def _morse_order(args, g: Graph, name: str | None):
     spec = args.order
     if spec == "tree":
         if args.k != 2:
             raise CliError("the tree matching targets k = 2")
         return tree_matching_order(g, 0), None
     if spec == "prism":
-        if not args.graph.startswith("prism:"):
+        if name != "prism":
             raise CliError("the prism order needs a prism:<n> graph argument")
         n = g.n // 2
         return prism_matching_order(n, args.k), None
@@ -205,9 +210,9 @@ def _morse_order(args, g: Graph):
 
 
 def cmd_morse(args) -> int:
-    g = _load_graph(args.graph)
+    g, name = _load_graph(args.graph)
     cx = cut_complex(g, args.k)
-    order, prebuilt = _morse_order(args, g)
+    order, prebuilt = _morse_order(args, g, name)
     if prebuilt is not None:
         matching = prebuilt
     else:
@@ -307,16 +312,13 @@ def _verify_row(spec, k, expect_shellable, check_homology, budget):
 
     if check_homology:
         rep = None if cx.is_void else reduced_homology(cx)
-        try:
-            pred = predicted_betti(spec, k)
-            match = pred.matches(cx, rep)
-            row["predicted"] = pred.to_json_obj()
+        pred, match = _predict(spec, k, cx, rep)
+        row["predicted"] = pred.to_json_obj() if pred else None
+        if pred:
             row["betti_ok"] = match
-            if not match:
-                row["ok"] = False
-                row["detail"].append("betti mismatch")
-        except NotCoveredError:
-            row["predicted"] = None
+        if not match:
+            row["ok"] = False
+            row["detail"].append("betti mismatch")
         if rep is not None:
             consistent = rep.euler() == cx.reduced_euler()
             row["euler_ok"] = consistent
@@ -370,10 +372,7 @@ def cmd_experiment(args) -> int:
     else:
         rep = reduced_homology(cx)
         report["homology"] = rep.to_json_obj()
-        for i in sorted(rep.ranks):
-            tor = rep.torsion_at(i)
-            if rep.betti(i) or tor:
-                lines.append(f"computed H~_{i}: rank {rep.betti(i)}" + (f" torsion {list(tor)}" if tor else ""))
+        lines += _homology_lines(rep, "computed ")
     if n == k + 5 and 3 <= k <= 15:
         beta = (k - 3) * (k - 2) * (k + 5) // 6
         report["conjectured"] = {"dim3": 1, "dim4": beta}
@@ -396,7 +395,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_graph_k(sp):
-        sp.add_argument("graph", help="family DSL string (e.g. cycle:7) or path to a text graph file")
+        sp.add_argument("graph", help=f"path to a text graph file, or a family DSL string such as cycle:7; "
+                        f"families: {', '.join(sorted(FAMILIES))}")
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--json", action="store_true")
 
@@ -446,10 +446,7 @@ def main(argv=None) -> int:
         return PARSE_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return PARSE_ERROR
-    except (FamilySpecError, ValueError) as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR
 

@@ -28,6 +28,7 @@ from .graphs import (
     from_edge_list,
     has_triangle,
     is_connected_subset,
+    parse_family,
     shortest_cycle_length,
 )
 
@@ -314,62 +315,54 @@ def _squared_cycle_betti(n, k):
     raise NotCoveredError(f"squared_cycle:{n} with k={k} is only conjectural")
 
 
-def _balloon_betti(n1, n2, k):
-    # the k = n1-1 caveat: the cycle side fails the skeleton condition there,
-    # so the count formula is not guaranteed and we decline to answer
-    n = n1 + n2 - 1
-    if not (3 <= k <= n - 2) or k == n1 - 1:
-        raise NotCoveredError(f"balloon:{n1},{n2} with k={k} not covered")
-    g = family(f"balloon:{n1},{n2}")
+def _kneser_betti(g, k, m, r):
+    # for 2r < m < 3r the Kneser graph is connected, triangle-free and not a tree
+    if k != 2 or not 2 * r < m < 3 * r:
+        raise NotCoveredError(f"kneser:{m},{r} with k={k} not covered")
+    return triangle_free_delta2_betti(g)
+
+
+def _wedge_census_betti(g, k, declined):
+    """Census count for a cycle wedged at one vertex with a path or a cycle.
+
+    ``declined`` holds k = n_i - 1 for each cycle side: the cycle fails the
+    skeleton condition there, so the count formula is not guaranteed and we
+    decline to answer.
+    """
+    n = g.n
+    if not (3 <= k <= n - 2) or k in declined:
+        raise NotCoveredError(f"wedge on {n} vertices with k={k} not covered")
     count = comb(n - 1, k - 1) - connected_kset_census(g, k).count
     return BettiPrediction.wedge(n - 1 - k, count)
 
 
-def _figure_eight_betti(n1, n2, k):
-    n = n1 + n2 - 1
-    if not (3 <= k <= n - 2) or k in (n1 - 1, n2 - 1):
-        raise NotCoveredError(f"figure_eight:{n1},{n2} with k={k} not covered")
-    g = family(f"figure_eight:{n1},{n2}")
-    count = comb(n - 1, k - 1) - connected_kset_census(g, k).count
-    return BettiPrediction.wedge(n - 1 - k, count)
+# family name -> closed form, called with the built graph, k and the family's
+# parameters. Families without an entry raise NotCoveredError.
+_CLOSED_FORMS = {
+    "edgeless": lambda g, k, n: _edgeless_betti(n, k),
+    "complete": lambda g, k, n: BettiPrediction.void(),
+    "complete_multipartite": lambda g, k, *parts: _multipartite_betti(parts, k),
+    "star": lambda g, k, m: _multipartite_betti([1, m], k),
+    "path": lambda g, k, n: forest_betti(g, k),
+    "tree": lambda g, k, edges: forest_betti(g, k),
+    "cycle": lambda g, k, n: _cycle_betti(n, k),
+    "prism": lambda g, k, n: _prism_betti(n, k),
+    "squared_cycle": lambda g, k, n: _squared_cycle_betti(n, k),
+    "kneser": _kneser_betti,
+    "petersen": lambda g, k: _kneser_betti(g, k, 5, 2),
+    "balloon": lambda g, k, n1, n2: _wedge_census_betti(g, k, {n1 - 1}),
+    "figure_eight": lambda g, k, n1, n2: _wedge_census_betti(g, k, {n1 - 1, n2 - 1}),
+}
 
 
 def predicted_betti(family_spec: str, k: int) -> BettiPrediction:
-    """Closed-form homotopy prediction for a family DSL string, or raise
-    NotCoveredError when no formula applies."""
+    """Closed-form homotopy prediction for a family DSL string. Raises
+    FamilySpecError for a malformed spec and NotCoveredError when no formula
+    applies."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    name, _, arg = family_spec.partition(":")
-    name = name.strip().lower().replace("-", "_")
-    ints = []
-    if name not in ("tree", "threshold", "petersen"):
-        try:
-            ints = [int(x) for x in arg.split(",")] if arg else []
-        except ValueError:
-            ints = []
-    if name == "edgeless":
-        return _edgeless_betti(ints[0], k)
-    if name == "complete":
-        return BettiPrediction.void()
-    if name == "complete_multipartite":
-        return _multipartite_betti(ints, k)
-    if name == "star":
-        return _multipartite_betti([1, ints[0]], k)
-    if name in ("path", "tree"):
-        return forest_betti(family(family_spec), k)
-    if name == "cycle":
-        return _cycle_betti(ints[0], k)
-    if name == "prism":
-        return _prism_betti(ints[0], k)
-    if name == "squared_cycle":
-        return _squared_cycle_betti(ints[0], k)
-    if name in ("kneser", "petersen"):
-        m, r = (5, 2) if name == "petersen" else (ints[0], ints[1])
-        if k != 2 or m >= 3 * r:
-            raise NotCoveredError(f"{family_spec} with k={k} not covered")
-        return triangle_free_delta2_betti(family(family_spec))
-    if name == "balloon":
-        return _balloon_betti(ints[0], ints[1], k)
-    if name == "figure_eight":
-        return _figure_eight_betti(ints[0], ints[1], k)
-    raise NotCoveredError(f"no closed form known for {family_spec!r}")
+    name, params = parse_family(family_spec)
+    g = family(family_spec)
+    if name not in _CLOSED_FORMS:
+        raise NotCoveredError(f"no closed form known for {family_spec!r}")
+    return _CLOSED_FORMS[name](g, k, *params)

@@ -96,7 +96,7 @@ def _edgeless(n):
     return from_edge_list(n, [])
 
 
-def _complete_multipartite(parts):
+def _complete_multipartite(*parts):
     if not parts or any(p < 1 for p in parts):
         raise FamilySpecError("multipartite parts must be positive")
     n = sum(parts)
@@ -163,10 +163,10 @@ def _threshold(pattern):
 def _tree_from_edges(arg):
     if not arg:
         return from_edge_list(1, [])
-    edges = []
-    for part in arg.split(","):
-        a, _, b = part.partition("-")
-        edges.append((int(a), int(b)))
+    try:
+        edges = [(int(a), int(b)) for a, _, b in (part.partition("-") for part in arg.split(","))]
+    except ValueError:
+        raise FamilySpecError(f"tree: expected edges such as 0-1,1-2, got {arg!r}") from None
     n = max(max(e) for e in edges) + 1
     g = from_edge_list(n, edges)
     if g.edge_count != n - 1 or not g.is_connected():
@@ -215,63 +215,52 @@ def _figure_eight(n1, n2):
     return wedge(_cycle(n1), _cycle(n2), 0, 0)
 
 
-def _parse_ints(arg, name, count=None):
+# name -> (arity, builder). arity is the number of integer parameters, None for
+# any number of them, or str for one raw argument passed through as text.
+FAMILIES = {
+    "path": (1, _path),
+    "cycle": (1, _cycle),
+    "complete": (1, _complete),
+    "edgeless": (1, _edgeless),
+    "complete_multipartite": (None, _complete_multipartite),
+    "star": (1, _star),
+    "prism": (1, _prism),
+    "squared_cycle": (1, _squared_cycle),
+    "kneser": (2, _kneser),
+    "petersen": (0, lambda: _kneser(5, 2)),
+    "threshold": (str, _threshold),
+    "tree": (str, _tree_from_edges),
+    "kayak": (1, _kayak),
+    "balloon": (2, _balloon),
+    "figure_eight": (2, _figure_eight),
+}
+
+
+def parse_family(spec: str) -> tuple[str, tuple]:
+    """Split a DSL string such as ``cycle:7`` into its registered family name
+    and the parameters its builder takes; raise FamilySpecError for an
+    unknown name or parameters of the wrong kind or number."""
+    name, _, arg = spec.partition(":")
+    name = name.strip().lower().replace("-", "_")
+    if name not in FAMILIES:
+        raise FamilySpecError(f"unknown family {name!r}")
+    arity = FAMILIES[name][0]
+    if arity is str:
+        return name, (arg.strip(),)
     try:
-        vals = [int(x) for x in arg.split(",")] if arg else []
+        vals = tuple(int(x) for x in arg.split(",")) if arg else ()
     except ValueError:
         raise FamilySpecError(f"{name}: expected integer parameters, got {arg!r}") from None
-    if count is not None and len(vals) != count:
-        raise FamilySpecError(f"{name}: expected {count} parameter(s), got {len(vals)}")
-    return vals
+    if arity is not None and len(vals) != arity:
+        raise FamilySpecError(f"{name}: expected {arity} parameter(s), got {len(vals)}")
+    return name, vals
 
 
 def family(spec: str) -> Graph:
     """Build a named graph from a DSL string such as ``cycle:7``,
     ``complete_multipartite:2,2,3``, ``kayak:5`` or ``tree:0-1,1-2``."""
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower().replace("-", "_")
-    if name == "path":
-        (n,) = _parse_ints(arg, name, 1)
-        return _path(n)
-    if name == "cycle":
-        (n,) = _parse_ints(arg, name, 1)
-        return _cycle(n)
-    if name == "complete":
-        (n,) = _parse_ints(arg, name, 1)
-        return _complete(n)
-    if name == "edgeless":
-        (n,) = _parse_ints(arg, name, 1)
-        return _edgeless(n)
-    if name == "complete_multipartite":
-        return _complete_multipartite(_parse_ints(arg, name))
-    if name == "star":
-        (m,) = _parse_ints(arg, name, 1)
-        return _star(m)
-    if name == "prism":
-        (n,) = _parse_ints(arg, name, 1)
-        return _prism(n)
-    if name == "squared_cycle":
-        (n,) = _parse_ints(arg, name, 1)
-        return _squared_cycle(n)
-    if name == "kneser":
-        m, r = _parse_ints(arg, name, 2)
-        return _kneser(m, r)
-    if name == "petersen":
-        return _kneser(5, 2)
-    if name == "threshold":
-        return _threshold(arg.strip())
-    if name == "tree":
-        return _tree_from_edges(arg.strip())
-    if name == "kayak":
-        (k,) = _parse_ints(arg, name, 1)
-        return _kayak(k)
-    if name == "balloon":
-        n1, n2 = _parse_ints(arg, name, 2)
-        return _balloon(n1, n2)
-    if name == "figure_eight":
-        n1, n2 = _parse_ints(arg, name, 2)
-        return _figure_eight(n1, n2)
-    raise FamilySpecError(f"unknown family {name!r}")
+    name, params = parse_family(spec)
+    return FAMILIES[name][1](*params)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ def test_morse_order_validation(capsys):
     assert code == 2 and "k = 2" in err
 
 
+def test_morse_prism_order_reads_the_parsed_family(tmp_path, monkeypatch, capsys):
+    for spec in (" prism:3", "Prism:4"):
+        code, out, _ = run(capsys, "morse", spec, "--k", "2", "--order", "prism", "--json")
+        assert code == 0 and json.loads(out)["acyclic"] is True
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prism:4").write_text(write_graph_text(family("prism:4")))
+    code, _, err = run(capsys, "morse", "prism:4", "--k", "2", "--order", "prism")
+    assert code == 2 and "needs a prism:<n> graph" in err
+
+
 def test_realize_subcommand(tmp_path, capsys):
     cx = cut_complex(family("cycle:5"), 2)
     path = tmp_path / "complex.json"
@@ -132,6 +142,16 @@ def test_realize_malformed_input_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     code, _, err = run(capsys, "realize", str(tmp_path / "missing.json"))
     assert code == 2 and err.startswith("error: ")
+
+
+def test_graph_file_named_like_a_family_gets_no_prediction(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "path:3").write_text(write_graph_text(family("edgeless:3")))
+    (tmp_path / "cycle").write_text(write_graph_text(family("cycle:5")))
+    for name in ("path:3", "cycle"):
+        code, out, err = run(capsys, "homology", name, "--k", "2", "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["predicted"] is None
 
 
 def test_malformed_graph_file_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
+    FamilySpecError,
     NotCoveredError,
     connected_kset_census,
     cut_complex,
@@ -259,6 +260,16 @@ def test_predicted_betti_not_covered():
         predicted_betti("kneser:6,2", 2)  # has triangles
     with pytest.raises(NotCoveredError):
         predicted_betti("threshold:11", 2)
+    for spec in ("kneser:4,2", "kneser:3,2", "kneser:2,1"):  # disconnected, edgeless, a tree
+        with pytest.raises(NotCoveredError):
+            predicted_betti(spec, 2)
+
+
+@pytest.mark.parametrize("spec", ["cycle", "prism:abc", "star:", "tree:0-1,1", "cycle:2", "petersen:junk",
+                                  "nonsense:3"])
+def test_predicted_betti_malformed_spec(spec):
+    with pytest.raises(FamilySpecError):
+        predicted_betti(spec, 2)
 
 
 def test_forest_betti_matches_homology():

@@ -1,0 +1,73 @@
+"""CLI output pinned byte for byte to tests/golden/cli.json.
+
+The golden file maps a command line to its exit status and stdout. Its
+commands run `build` and `homology`, human and `--json`, on one spec of every
+registered family at k = 2 and k = 3, plus the verify corpus and the
+squared-cycle experiment. Rewrite it only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import functools
+import json
+from pathlib import Path
+
+import pytest
+
+from cutcomplex.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+SPECS = [
+    "balloon:5,3", "complete:5", "complete_multipartite:2,2,3", "cycle:7", "edgeless:5",
+    "figure_eight:4,4", "kayak:5", "kneser:5,2", "path:6", "petersen", "prism:4",
+    "squared_cycle:8", "star:4", "threshold:1011", "tree:0-1,1-2,2-3,3-4,2-5",
+]
+
+
+def _commands():
+    cmds = [
+        f"{sub} {spec} --k {k}{flag}"
+        for spec in SPECS for sub in ("build", "homology") for k in (2, 3) for flag in ("", " --json")
+    ]
+    cmds += ["verify table1-small", "verify table1-small --json"]
+    cmds += ["experiment squared-cycle --k 3 --n 8", "experiment squared-cycle --k 3 --n 8 --json"]
+    return cmds
+
+
+def _run(cmd, capsys):
+    code = main(cmd.split())
+    return {"exit": code, "stdout": capsys.readouterr().out}
+
+
+@functools.cache
+def _load():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_family():
+    from cutcomplex.cuts import _CLOSED_FORMS
+    from cutcomplex.graphs import FAMILIES, parse_family
+
+    assert sorted(parse_family(spec)[0] for spec in SPECS) == sorted(FAMILIES)
+    assert set(_CLOSED_FORMS) <= set(FAMILIES)
+    assert sorted(_load()) == sorted(_commands())
+
+
+@pytest.mark.parametrize("cmd", _commands())
+def test_cli_output_matches_golden(cmd, capsys):
+    assert _run(cmd, capsys) == _load()[cmd]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    golden = {}
+    for cmd in _commands():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(cmd.split())
+        golden[cmd] = {"exit": code, "stdout": buf.getvalue()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1, ensure_ascii=False, sort_keys=True) + "\n")

@@ -1,10 +1,13 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
+    FAMILIES,
     FamilySpecError,
     cartesian_product,
     combine,
@@ -15,6 +18,7 @@ from cutcomplex import (
     induced_subgraph,
     is_chordal,
     is_connected_subset,
+    parse_family,
     read_graph_text,
     shortest_cycle_length,
     wedge,
@@ -87,6 +91,24 @@ def test_family_tree_and_errors():
         family("nonsense:3")
     with pytest.raises(FamilySpecError):
         family("kayak:3")
+    with pytest.raises(FamilySpecError, match="^tree: "):
+        family("tree:0-1,1")
+
+
+def test_parse_family():
+    assert parse_family(" Figure-Eight:4,4") == ("figure_eight", (4, 4))
+    assert parse_family("complete_multipartite:2,2,3") == ("complete_multipartite", (2, 2, 3))
+    assert parse_family("tree: 0-1,1-2 ") == ("tree", ("0-1,1-2",))
+    assert parse_family("petersen") == ("petersen", ())
+    for spec in ("cycle", "prism:abc", "star:", "kneser:5", "petersen:junk", "nonsense:3"):
+        with pytest.raises(FamilySpecError):
+            parse_family(spec)
+
+
+def test_readme_lists_every_family():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    dsl_list = readme.split("family DSL string:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(parse_family(spec)[0] for spec in re.findall(r"`([^`]+)`", dsl_list)) == sorted(FAMILIES)
 
 
 def test_join_is_complete_bipartite():
