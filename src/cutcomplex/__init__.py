@@ -9,7 +9,6 @@ from .bitsets import bits, ksubset_masks, mask_of, to_tuple
 from .complexes import SimplicialComplex, from_facets, full_simplex
 from .cuts import (
     BettiPrediction,
-    ConnectedSetCensus,
     NotCoveredError,
     connected_kset_census,
     cut_complex,

@@ -20,7 +20,6 @@ from .bitsets import to_tuple
 from .complexes import SimplicialComplex
 from .cuts import (
     NotCoveredError,
-    connected_kset_census,
     cut_complex,
     predicted_betti,
     realize_as_cut_complex,
@@ -118,9 +117,8 @@ def cmd_build(args) -> int:
         "k": args.k,
         "complex": cx.to_json_obj(),
         "facet_count": len(cx.facets),
-        "connected_kset_count": (
-            connected_kset_census(g, args.k).count if 1 <= args.k <= g.n else 0
-        ),
+        # every k-set is either connected or the complement of a facet
+        "connected_kset_count": comb(g.n, args.k) - len(cx.facets),
     }
     lines = [f"graph: {args.graph} (n={g.n}, m={g.edge_count})", f"k: {args.k}"]
     if cx.is_void:
@@ -204,9 +202,13 @@ def _morse_order(args, g: Graph, name: str | None):
             raise CliError("the restricted matching targets k = 2")
         return None, restricted_matching(g)
     try:
-        return tuple(int(x) for x in spec.split(",")), None
+        order = tuple(int(x) for x in spec.split(","))
     except ValueError:
         raise CliError(f"bad --order {spec!r}: expected tree|prism|restricted|comma list") from None
+    for v in order:
+        if not 0 <= v < g.n:
+            raise CliError(f"bad --order {spec!r}: vertex {v} is not in 0..{g.n - 1}")
+    return order, None
 
 
 def cmd_morse(args) -> int:
@@ -338,7 +340,7 @@ def _verify_row(spec, k, expect_shellable, check_homology, budget):
 
 
 def cmd_verify(args) -> int:
-    if args.corpus not in ("table1-small", "table1"):
+    if args.corpus != "table1-small":
         raise CliError(f"unknown corpus {args.corpus!r} (try table1-small)")
     rows = []
     status = 0

@@ -53,30 +53,15 @@ def cut_complex(g: Graph, k: int) -> SimplicialComplex:
     )
 
 
-@dataclass(frozen=True)
-class ConnectedSetCensus:
-    """Count of connected k-subsets, optionally also those through an anchor."""
-
-    k: int
-    count: int
-    anchor: int | None = None
-    anchored_count: int | None = None
-
-
-def connected_kset_census(g: Graph, k: int, anchor: int | None = None) -> ConnectedSetCensus:
+def connected_kset_census(g: Graph, k: int, anchor: int | None = None) -> int:
+    """Number of connected k-subsets of g; only those containing ``anchor``
+    when one is given."""
     if not (1 <= k <= g.n):
         raise ValueError("census needs 1 <= k <= n")
     if anchor is not None and not (0 <= anchor < g.n):
         raise ValueError("anchor out of range")
-    count = 0
-    anchored = 0
-    abit = 1 << anchor if anchor is not None else 0
-    for m in ksubset_masks(g.n, k):
-        if is_connected_subset(g, m):
-            count += 1
-            if abit and m & abit:
-                anchored += 1
-    return ConnectedSetCensus(k, count, anchor, anchored if anchor is not None else None)
+    need = 1 << anchor if anchor is not None else 0
+    return sum(1 for m in ksubset_masks(g.n, k) if m & need == need and is_connected_subset(g, m))
 
 
 def facets_via_ridges(cx: SimplicialComplex, k: int) -> list[int]:
@@ -228,7 +213,7 @@ def forest_betti(g: Graph, k: int) -> BettiPrediction:
         if g.is_connected():
             return BettiPrediction.void()
         return BettiPrediction.wedge(-1, 1)
-    count = comb(n - 1, k - 1) - connected_kset_census(g, k).count
+    count = comb(n - 1, k - 1) - connected_kset_census(g, k)
     return BettiPrediction.wedge(n - k - 1, count)
 
 
@@ -257,9 +242,7 @@ def wedge_anchor_count(g1: Graph, w1: int, g2: Graph, w2: int, k: int, min_size:
         b = k + 1 - a
         if not (1 <= a <= g1.n and 1 <= b <= g2.n):
             continue
-        c1 = connected_kset_census(g1, a, anchor=w1).anchored_count
-        c2 = connected_kset_census(g2, b, anchor=w2).anchored_count
-        total += c1 * c2
+        total += connected_kset_census(g1, a, anchor=w1) * connected_kset_census(g2, b, anchor=w2)
     return total
 
 
@@ -332,7 +315,7 @@ def _wedge_census_betti(g, k, declined):
     n = g.n
     if not (3 <= k <= n - 2) or k in declined:
         raise NotCoveredError(f"wedge on {n} vertices with k={k} not covered")
-    count = comb(n - 1, k - 1) - connected_kset_census(g, k).count
+    count = comb(n - 1, k - 1) - connected_kset_census(g, k)
     return BettiPrediction.wedge(n - 1 - k, count)
 
 

@@ -11,13 +11,17 @@ greedy pass in increasing bitmask order is just a deterministic way of
 taking all of them.
 
 Acyclicity is never assumed: ``verify_acyclic_and_critical`` runs cycle
-detection on the Hasse diagram with matched edges reversed upward. This
+detection on the Hasse diagram with matched edges reversed upward. Only
+faces matched upward can lie on a cycle (Forman, "Morse theory for cell
+complexes", 1998: closed V-paths alternate between two adjacent
+dimensions), so the check visits those faces alone. This
 module only reports critical-cell censuses; homotopy conclusions are left to
 callers pairing them with homology.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .bitsets import bits, to_tuple
@@ -79,7 +83,8 @@ def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatch
 
 def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]:
     """Validate the pairing structurally, then test acyclicity of the
-    modified Hasse diagram (matched covers point up, the rest point down)."""
+    modified Hasse diagram (matched covers point up, the rest point down)
+    on the faces matched upward."""
     face_set = m.complex.face_set()
     seen = set()
     up = {}
@@ -95,32 +100,23 @@ def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]
         seen.add(t)
         up[s] = t
 
-    # successors: σ -> σ ∪ a when matched upward, τ -> its unmatched facets
-    succ: dict[int, list[int]] = {}
-    indeg: dict[int, int] = {f: 0 for f in face_set}
-    for f in face_set:
-        targets = []
-        for v in bits(f):
-            sub = f & ~(1 << v)
-            if up.get(sub) != f:
-                targets.append(sub)
-        if f in up:
-            targets.append(up[f])
-        succ[f] = targets
-        for t in targets:
-            indeg[t] += 1
-
-    queue = [f for f, d in indeg.items() if d == 0]
+    # A cycle of the modified Hasse diagram cannot climb two dimensions: a face
+    # reached by an up-edge is matched down and has no up-edge, so it steps
+    # down next. Every cycle therefore alternates between two adjacent
+    # dimensions through faces matched upward, and Kahn's algorithm runs on
+    # those faces only: σ -> σ' for each facet σ' != σ of up[σ] with σ' in up.
+    succ = {s: [f for f in (t ^ (1 << v) for v in bits(s)) if f in up] for s, t in up.items()}
+    indeg = Counter(f for targets in succ.values() for f in targets)
+    queue = [s for s in up if not indeg[s]]
     visited = 0
     while queue:
-        f = queue.pop()
+        s = queue.pop()
         visited += 1
-        for t in succ[f]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    acyclic = visited == len(face_set)
-    return acyclic, m.critical_census()
+        for f in succ[s]:
+            indeg[f] -= 1
+            if indeg[f] == 0:
+                queue.append(f)
+    return visited == len(up), m.critical_census()
 
 
 def tree_matching_order(tree: Graph, root: int = 0) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ A facet order F_1..F_t is a shelling when for every i < j some earlier F_k
 meets F_j in exactly |F_j| - 1 vertices with F_i ∩ F_j inside F_k ∩ F_j.
 ``verify_shelling_order`` checks that pairwise criterion directly;
 ``find_shelling`` searches facet orders exhaustively with certificates: an
-accepted order, a proof-of-exhaustion, or a budget-exceeded marker.
+accepted order, a proof-of-exhaustion, or a budget-exceeded marker. The
+search is one loop over an explicit stack (the placed facets), so a complex
+with thousands of facets never meets Python's recursion limit.
 
 Key soundness point: whether an order can be extended depends only on the
 *set* of facets placed so far, so failed prefix sets are memoized. A
@@ -72,13 +74,11 @@ def verify_shelling_order(cx: SimplicialComplex, order) -> tuple[bool, tuple[int
     return True, None
 
 
-class _Budget(Exception):
-    pass
-
-
 def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> ShellingCertificate:
-    """Backtracking search over facet prefixes maintaining the pairwise
+    """Depth-first search over facet prefixes maintaining the pairwise
     criterion incrementally. Equivalent prefixes are detected by facet set."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if cx.is_void:
         return ShellingCertificate("shellable", (), 0, void_input=True)
     if cx.is_empty_complex:
@@ -110,49 +110,40 @@ def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shelli
                     m |= 1 << k
             cover[i][j] = m
 
-    failed: set[int] = set()
-    nodes = 0
-
-    def extend(prefix_mask: int, order: list[int]) -> list[int] | None:
-        nonlocal nodes
-        if len(order) == t:
-            return order
-        for j in range(t):
+    failed: set[int] = set()  # facet-index bitmasks of prefixes that cannot be completed
+    order: list[int] = []  # facet indices placed so far
+    nodes = prefix = start = 0  # prefix: bitmask of order; start: first index the next scan tries
+    while len(order) < t:
+        for j in range(start, t):
             jbit = 1 << j
-            if prefix_mask & jbit:
+            nxt = prefix | jbit
+            if prefix & jbit or nxt in failed:
                 continue
-            nxt = prefix_mask | jbit
-            if nxt in failed:
-                continue
-            ok = True
-            rest = prefix_mask
+            rest = prefix
             while rest:
                 low = rest & -rest
-                if not cover[low.bit_length() - 1][j] & prefix_mask:
-                    ok = False
+                if not cover[low.bit_length() - 1][j] & prefix:
                     break
                 rest ^= low
-            if not ok:
+            if rest:
                 continue
             nodes += 1
             if nodes > budget:
-                raise _Budget
+                return ShellingCertificate("unknown", None, nodes)
             order.append(j)
-            result = extend(nxt, order)
-            if result is not None:
-                return result
-            order.pop()
-            failed.add(nxt)
-        return None
-
-    try:
-        found = extend(0, [])
-    except _Budget:
-        return ShellingCertificate("unknown", None, nodes)
-    if found is None:
-        return ShellingCertificate("not_shellable", None, nodes)
+            prefix = nxt
+            start = 0
+            break
+        else:
+            # no facet extends this prefix: backtrack past its last facet
+            if not order:
+                return ShellingCertificate("not_shellable", None, nodes)
+            failed.add(prefix)
+            j = order.pop()
+            prefix ^= 1 << j
+            start = j + 1
     return ShellingCertificate(
-        "shellable", tuple(to_tuple(facets[j]) for j in found), nodes
+        "shellable", tuple(to_tuple(facets[j]) for j in order), nodes
     )
 
 

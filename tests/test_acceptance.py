@@ -126,7 +126,7 @@ def test_criterion_5_forests():
         g = random_forest(rng, n)
         for k in range(2, n):
             cx = cut_complex(g, k)
-            z = connected_kset_census(g, k).count
+            z = connected_kset_census(g, k)
             want = comb(n - 1, k - 1) - z
             rep = reduced_homology(cx)
             assert rep.free_concentrated(n - k - 1, want), (g.edges(), k)

@@ -159,3 +159,24 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys):
     path.write_text("3 2\n0 1\n")
     code, _, err = run(capsys, "homology", str(path), "--k", "2")
     assert code == 2 and err.startswith("error: cannot read graph file")
+
+
+def _one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_morse_order_vertices_must_be_graph_vertices(capsys):
+    for order in ("0,1,2,3,9", "-1", "0,-1,2"):
+        code, out, err = run(capsys, "morse", "cycle:5", "--k", "2", "--order", order)
+        assert _one_error_line(code, out, err) and "is not in 0..4" in err
+
+
+def test_negative_budget_exits_2(capsys):
+    for argv in (("shell", "cycle:5", "--k", "2"), ("verify", "table1-small")):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert _one_error_line(code, out, err) and "budget" in err
+
+
+def test_verify_accepts_only_table1_small(capsys):
+    code, out, err = run(capsys, "verify", "table1")
+    assert _one_error_line(code, out, err) and "try table1-small" in err

@@ -2,8 +2,9 @@
 
 The golden file maps a command line to its exit status and stdout. Its
 commands run `build` and `homology`, human and `--json`, on one spec of every
-registered family at k = 2 and k = 3, plus the verify corpus and the
-squared-cycle experiment. Rewrite it only for an intended output change:
+registered family at k = 2 and k = 3, plus the verify corpus, the
+squared-cycle experiment, and `shell` and `morse` runs that pin node counts,
+shelling orders and Morse matchings. Rewrite it only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,6 +25,15 @@ SPECS = [
     "squared_cycle:8", "star:4", "threshold:1011", "tree:0-1,1-2,2-3,3-4,2-5",
 ]
 
+SHELL = [
+    "prism:4 --k 3", "cycle:7 --k 2", "cycle:8 --k 2", "squared_cycle:7 --k 3", "squared_cycle:9 --k 3",
+    "squared_cycle:9 --k 4 --budget 5000", "complete_multipartite:3,4 --k 2", "cycle:10 --k 4",
+]
+MORSE = [
+    "prism:4 --k 3 --order prism", "path:6 --k 2 --order tree", "cycle:6 --k 2 --order restricted",
+    "cycle:5 --k 2 --order 0,1,2,3,4",
+]
+
 
 def _commands():
     cmds = [
@@ -32,6 +42,8 @@ def _commands():
     ]
     cmds += ["verify table1-small", "verify table1-small --json"]
     cmds += ["experiment squared-cycle --k 3 --n 8", "experiment squared-cycle --k 3 --n 8 --json"]
+    cmds += [f"shell {args}{flag}" for args in SHELL for flag in ("", " --json")]
+    cmds += [f"morse {args}{flag}" for args in MORSE for flag in ("", " --json")]
     return cmds
 
 

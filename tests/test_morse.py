@@ -2,9 +2,12 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutcomplex import (
     MorseMatching,
+    bits,
     cut_complex,
     element_matching_sequence,
     family,
@@ -193,3 +196,67 @@ def test_morse_euler_identity_and_weak_inequality():
             rep = reduced_homology(cx)
             for d in rep.ranks:
                 assert census.get(d, 0) >= rep.betti(d)
+
+
+def _full_hasse_acyclic(m):
+    """Reference check: Kahn's algorithm over every face of the modified Hasse
+    diagram (matched covers point up, all other covers point down)."""
+    face_set = m.complex.face_set()
+    up = dict(m.pairs)
+    succ = {}
+    indeg = {f: 0 for f in face_set}
+    for f in face_set:
+        targets = [f & ~(1 << v) for v in bits(f) if up.get(f & ~(1 << v)) != f]
+        if f in up:
+            targets.append(up[f])
+        succ[f] = targets
+        for t in targets:
+            indeg[t] += 1
+    queue = [f for f, d in indeg.items() if d == 0]
+    visited = 0
+    while queue:
+        f = queue.pop()
+        visited += 1
+        for t in succ[f]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                queue.append(t)
+    return visited == len(face_set)
+
+
+@st.composite
+def random_matchings(draw):
+    """A small complex with disjoint pairs σ ⊂ σ ∪ {v} drawn greedily from its
+    shuffled faces; such pairings are often cyclic."""
+    n = draw(st.integers(2, 6))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=5))
+    cx = from_facets([tuple(sorted(f)) for f in facets], ambient=n)
+    rng = draw(st.randoms(use_true_random=False))
+    face_set = cx.face_set()
+    faces = sorted(face_set)
+    rng.shuffle(faces)
+    matched = set()
+    pairs = []
+    for s in faces:
+        ups = [t for t in (s | 1 << v for v in range(n)) if t != s and t in face_set and t not in matched]
+        if s in matched or not ups:
+            continue
+        t = rng.choice(ups)
+        matched |= {s, t}
+        pairs.append((s, t))
+    return MorseMatching(cx, tuple(pairs))
+
+
+def test_acyclicity_agrees_with_full_hasse_reference():
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_matchings())
+    def check(m):
+        acyclic, census = verify_acyclic_and_critical(m)
+        assert acyclic == _full_hasse_acyclic(m)
+        assert census == m.critical_census()
+        outcomes.add(acyclic)
+
+    check()
+    assert outcomes == {True, False}

@@ -211,3 +211,16 @@ def test_links_preserve_shellability():
             for v in range(g.n):
                 sub = induced_subgraph(g, g.full_mask ^ (1 << v))
                 assert _verdict(sub, k) == "shellable"
+
+
+def test_find_shelling_deep_search_has_no_recursion_limit():
+    # A path with 1,101 edges, randomly relabelled: its ascending facet order
+    # is not a shelling, so the search must place every facet one level deeper.
+    rng = random.Random(0)
+    labels = list(range(1102))
+    rng.shuffle(labels)
+    cx = from_facets([(labels[i], labels[i + 1]) for i in range(1101)])
+    assert not verify_shelling_order(cx, cx.facets)[0]
+    cert = find_shelling(cx)
+    assert cert.verdict == "shellable" and cert.nodes == 1101
+    assert verify_shelling_order(cx, cert.order)[0]
