@@ -22,11 +22,18 @@ NEG_INF = float("-inf")
 
 
 def _normalize(face_masks):
-    """Deduplicate and drop non-maximal faces; returns sorted facet tuple."""
+    """Deduplicate and drop non-maximal faces; returns sorted facet tuple.
+
+    Distinct faces of one size never contain each other, so each face is
+    tested only against the kept faces of strictly larger size."""
     masks = sorted(set(face_masks), key=lambda m: (-m.bit_count(), m))
     keep: list[int] = []
+    larger: tuple[int, ...] = ()  # the kept faces larger than the current size
+    size = -1
     for m in masks:
-        if not any(m & ~f == 0 for f in keep):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), tuple(keep)
+        if not any(m & ~f == 0 for f in larger):
             keep.append(m)
     keep.sort()
     return tuple(keep)

@@ -6,8 +6,9 @@ form. Free ranks come from the ranks of consecutive boundary maps; torsion
 coefficients are the diagonal entries greater than one.
 
 Everything is exact: the Smith reduction works on sparse rows of unbounded
-Python ints. Homology is computed on whichever side of Alexander duality has
-fewer faces; for cut complexes that is usually the dual.
+Python ints. Boundary matrices and Smith reduction run on whichever side of
+Alexander duality has fewer faces; for cut complexes that is usually the
+dual. Picking the side still counts the primal faces one by one.
 """
 
 from __future__ import annotations
@@ -26,33 +27,6 @@ class IntMatrix:
     nrows: int
     ncols: int
     entries: dict
-
-    @staticmethod
-    def from_rows(rows) -> IntMatrix:
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = int(v)
-        ncols = len(rows[0]) if rows else 0
-        return IntMatrix(len(rows), ncols, entries)
-
-    def multiply(self, other: IntMatrix) -> IntMatrix:
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        by_row: dict[int, dict[int, int]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        prod: dict[tuple[int, int], int] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, {}).items():
-                key = (r, c)
-                prod[key] = prod.get(key, 0) + v * w
-        prod = {k: v for k, v in prod.items() if v}
-        return IntMatrix(self.nrows, other.ncols, prod)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +240,9 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     """Reduced integer homology, computed on the smaller Alexander-dual side.
 
     The dual has exactly 2^n - |Δ| faces, so the side is picked from the
-    primal face count alone, and the larger side is never enumerated. Ties
-    and the full simplex, whose dual is void, stay primal.
+    primal face count alone. ``f_vector`` gets that count by enumerating
+    every primal face, even when the dual is the smaller side. Ties and the
+    full simplex, whose dual is void, stay primal.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")

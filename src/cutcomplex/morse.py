@@ -64,6 +64,9 @@ def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatch
     order = list(vertex_order)
     if len(set(order)) != len(order):
         raise ValueError("vertex order contains a repeat")
+    for a in order:
+        if not 0 <= a < cx.ambient:
+            raise ValueError(f"vertex {a} is not in 0..{cx.ambient - 1}")
     faces = sorted(cx.face_set())
     face_set = set(faces)
     matched = set()

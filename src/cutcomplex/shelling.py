@@ -4,22 +4,25 @@ A facet order F_1..F_t is a shelling when for every i < j some earlier F_k
 meets F_j in exactly |F_j| - 1 vertices with F_i ∩ F_j inside F_k ∩ F_j.
 ``verify_shelling_order`` checks that pairwise criterion directly;
 ``find_shelling`` searches facet orders exhaustively with certificates: an
-accepted order, a proof-of-exhaustion, or a budget-exceeded marker. The
-search is one loop over an explicit stack (the placed facets), so a complex
-with thousands of facets never meets Python's recursion limit.
+accepted order, a proof-of-exhaustion, or a budget-exceeded marker.
+
+The search decides a candidate F_j by its restriction set against the placed
+prefix P (Björner, "Topological methods", Handbook of Combinatorics 1995):
+R = {v in F_j : the ridge F_j - v lies in a facet of P}, and F_j may follow
+P iff no facet of P contains R. So no table over facet pairs is built. The
+search loops over an explicit stack, so it never meets the recursion limit.
 
 Key soundness point: whether an order can be extended depends only on the
-*set* of facets placed so far, so failed prefix sets are memoized. A
-"not shellable" verdict is issued only after the full search tree is
-exhausted within budget. No symmetry reduction is applied by default: an
-unsound reduction would invalidate exhaustion certificates.
+*set* of facets placed so far, so failed prefix sets are memoized. A "not
+shellable" verdict needs the full search tree exhausted within budget; no
+symmetry reduction is applied, as an unsound one would void that certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import mask_of, to_tuple
+from .bitsets import bits, mask_of, to_tuple
 from .complexes import SimplicialComplex
 from .graphs import family
 from .cuts import disconnected_ksets
@@ -74,9 +77,30 @@ def verify_shelling_order(cx: SimplicialComplex, order) -> tuple[bool, tuple[int
     return True, None
 
 
+def _restriction_rows(facets) -> list:
+    """Per facet F_j, a pair (facets containing F_j - v, facets containing v) per v in F_j."""
+    sharers, holders = {}, {}  # ridge, vertex -> bitmask of the facets containing it
+    for j, f in enumerate(facets):
+        for v in bits(f):
+            sharers[f ^ 1 << v] = sharers.get(f ^ 1 << v, 0) | 1 << j
+            holders[v] = holders.get(v, 0) | 1 << j
+    return [[(sharers[f ^ 1 << v], holders[v]) for v in bits(f)] for f in facets]
+
+
+def _blocked(row, prefix: int) -> int:
+    """Bitmask of the facets of ``prefix`` that contain R, given F_j's ``_restriction_rows`` row."""
+    # F_i ∩ F_j lies in the ridge F_j - v iff v ∉ F_i, so F_i has a witness in
+    # the prefix iff some v in R misses F_i: the pairwise criterion, per facet.
+    common = prefix
+    for sharers, holders in row:
+        if sharers & prefix:
+            common &= holders
+    return common
+
+
 def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> ShellingCertificate:
-    """Depth-first search over facet prefixes maintaining the pairwise
-    criterion incrementally. Equivalent prefixes are detected by facet set."""
+    """Depth-first search over facet prefixes by the restriction-set test.
+    Equivalent prefixes are detected by facet set."""
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if cx.is_void:
@@ -90,25 +114,10 @@ def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shelli
     if t == 1:
         return ShellingCertificate("shellable", (to_tuple(facets[0]),), 0)
 
+    rows = _restriction_rows(facets)
     # cheap first attempt: ascending-mask order is often already a shelling
-    ok, _ = verify_shelling_order(cx, facets)
-    if ok:
+    if not any(_blocked(rows[j], (1 << j) - 1) for j in range(t)):
         return ShellingCertificate("shellable", tuple(to_tuple(f) for f in facets), 0)
-
-    size = facets[0].bit_count()
-    inter = [[facets[i] & facets[j] for j in range(t)] for i in range(t)]
-    # cover[i][j]: bitmask over facet indices k that could witness pair (i, j)
-    cover = [[0] * t for _ in range(t)]
-    for j in range(t):
-        ridge_k = [k for k in range(t) if k != j and inter[k][j].bit_count() == size - 1]
-        for i in range(t):
-            if i == j:
-                continue
-            m = 0
-            for k in ridge_k:
-                if inter[i][j] & ~inter[k][j] == 0:
-                    m |= 1 << k
-            cover[i][j] = m
 
     failed: set[int] = set()  # facet-index bitmasks of prefixes that cannot be completed
     order: list[int] = []  # facet indices placed so far
@@ -117,15 +126,7 @@ def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shelli
         for j in range(start, t):
             jbit = 1 << j
             nxt = prefix | jbit
-            if prefix & jbit or nxt in failed:
-                continue
-            rest = prefix
-            while rest:
-                low = rest & -rest
-                if not cover[low.bit_length() - 1][j] & prefix:
-                    break
-                rest ^= low
-            if rest:
+            if prefix & jbit or nxt in failed or _blocked(rows[j], prefix):
                 continue
             nodes += 1
             if nodes > budget:
@@ -142,9 +143,7 @@ def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shelli
             j = order.pop()
             prefix ^= 1 << j
             start = j + 1
-    return ShellingCertificate(
-        "shellable", tuple(to_tuple(facets[j]) for j in order), nodes
-    )
+    return ShellingCertificate("shellable", tuple(to_tuple(facets[j]) for j in order), nodes)
 
 
 def cycle_lex_order(n: int, k: int) -> list[tuple[int, ...]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from cutcomplex import Graph, from_edge_list
+from cutcomplex import Graph, IntMatrix, from_edge_list
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -93,3 +93,23 @@ def brute_faces(facets) -> set:
         for r in range(len(f) + 1):
             out.update(combinations(f, r))
     return out
+
+
+# -- exact integer matrices ---------------------------------------------------
+
+
+def matrix_from_rows(rows) -> IntMatrix:
+    entries = {(r, c): int(v) for r, row in enumerate(rows) for c, v in enumerate(row) if v}
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0, entries)
+
+
+def matrix_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Sparse product; zero entries are dropped, so a zero product has none."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    prod: dict[tuple[int, int], int] = {}
+    for (r, k), v in a.entries.items():
+        for (k2, c), w in b.entries.items():
+            if k == k2:
+                prod[(r, c)] = prod.get((r, c), 0) + v * w
+    return IntMatrix(a.nrows, b.ncols, {key: v for key, v in prod.items() if v})

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
@@ -12,6 +12,7 @@ from cutcomplex import (
     full_simplex,
     to_tuple,
 )
+from cutcomplex.complexes import _normalize
 from conftest import brute_faces
 
 NEG_INF = float("-inf")
@@ -42,6 +43,19 @@ def test_maximality_normalization():
     assert not cx.is_pure
     # idempotent
     assert from_facets(cx.facets) == cx
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**7 - 1), max_size=16))
+@example([])
+@example([0])
+@example([0, 0, 0])
+@example([0b11, 0b11, 0b1, 0b100, 0])
+@example([0b101, 0b110, 0b111, 0b1000, 0b1000])
+def test_normalize_matches_brute_force_maximality(masks):
+    # duplicates, {∅} and mixed sizes; a face is kept iff no other face contains it
+    brute = {m for m in masks if not any(f != m and m & ~f == 0 for f in masks)}
+    assert _normalize(masks) == tuple(sorted(brute))
 
 
 def test_f_vector_examples():

@@ -66,6 +66,13 @@ def test_element_matching_rejects_repeats():
         element_matching_sequence(cx, [0, 0, 1])
 
 
+def test_element_matching_rejects_vertices_outside_the_ambient_range():
+    cx = cut_complex(family("cycle:5"), 2)
+    for order in ([0, -1], [0, 9]):
+        with pytest.raises(ValueError, match="is not in 0..4"):
+            element_matching_sequence(cx, order)
+
+
 def test_empty_matching_everything_critical():
     cx = cut_complex(family("cycle:5"), 2)
     mm = MorseMatching(cx, ())

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutcomplex import (
     cut_complex,
@@ -16,6 +18,7 @@ from cutcomplex import (
     verify_shelling_order,
     wedge,
 )
+from cutcomplex.shelling import _blocked, _restriction_rows
 from conftest import random_chordal, random_graph
 
 FIG2 = from_edge_list(5, [(0, 2), (0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
@@ -224,3 +227,49 @@ def test_find_shelling_deep_search_has_no_recursion_limit():
     cert = find_shelling(cx)
     assert cert.verdict == "shellable" and cert.nodes == 1101
     assert verify_shelling_order(cx, cert.order)[0]
+
+
+# -- the restriction-set test against the pairwise cover rule ----------------
+
+
+def _reference_blocked(facets, prefix: int, j: int) -> bool:
+    """Pairwise cover rule: F_j may follow the prefix P iff for every i in P
+    some ridge neighbour k in P has F_i ∩ F_j ⊆ F_k ∩ F_j."""
+    fj = facets[j]
+    placed = [i for i in range(len(facets)) if prefix >> i & 1]
+    covers = [facets[k] & fj for k in placed if (facets[k] & fj).bit_count() == fj.bit_count() - 1]
+    return any(all(facets[i] & fj & ~c for c in covers) for i in placed)
+
+
+@st.composite
+def pure_facets_and_prefixes(draw):
+    n = draw(st.integers(1, 7))
+    size = draw(st.integers(1, n))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size, max_size=size), min_size=1, max_size=14))
+    facets = from_facets([tuple(f) for f in faces]).facets
+    prefixes = draw(st.lists(st.integers(0, (1 << len(facets)) - 1), max_size=12))
+    return facets, [0] + prefixes
+
+
+@settings(max_examples=300, deadline=None)
+@given(pure_facets_and_prefixes())
+def test_restriction_set_test_matches_pairwise_cover_rule(case):
+    facets, prefixes = case
+    rows = _restriction_rows(facets)
+    for prefix in prefixes:
+        for j in range(len(facets)):
+            if not prefix >> j & 1:
+                assert bool(_blocked(rows[j], prefix)) == _reference_blocked(facets, prefix, j)
+
+
+def test_restriction_set_edge_cases():
+    # R = ∅: F_1 shares no ridge with the placed F_0, so F_0 contains R and blocks it
+    facets = from_facets([(0, 1), (2, 3)]).facets
+    rows = _restriction_rows(facets)
+    assert _blocked(rows[1], 0b01) == 0b01 and _reference_blocked(facets, 0b01, 1)
+    assert _blocked(rows[1], 0) == 0 and not _reference_blocked(facets, 0, 1)
+    # single-vertex facets: R = {v} lies in no other point, so any order shells
+    facets = from_facets([(0,), (1,), (2,)]).facets
+    rows = _restriction_rows(facets)
+    assert all(_blocked(rows[j], 0b111 & ~(1 << j)) == 0 for j in range(3))
+    assert find_shelling(from_facets(facets)).nodes == 0
