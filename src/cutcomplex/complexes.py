@@ -8,17 +8,21 @@ union of its facets) may be a proper subset of the ambient range.
 
 Face enumeration is on demand and memoized: cut complexes have few facets but
 exponentially many faces, so nothing below the facet list is stored eagerly.
-The lazy caches are write-once and idempotent, so complexes stay safe to share
-across threads.
+Their Alexander duals are small, though, and a complex with fewer dual faces
+than faces takes its f-vector from the dual (combinatorial Alexander duality),
+so the larger side is never enumerated for counts. The lazy caches are
+write-once and idempotent, so complexes stay safe to share across threads.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
-from .bitsets import bits, ksubset_masks, mask_of, submasks, to_tuple
+from .bitsets import bits, mask_of, submasks, to_tuple
 
 NEG_INF = float("-inf")
+_UNDECIDED = object()  # the small-dual memo before it is computed
 
 
 def _normalize(face_masks):
@@ -40,7 +44,7 @@ def _normalize(face_masks):
 
 
 class SimplicialComplex:
-    __slots__ = ("_facets", "ambient", "_faces", "_fvec")
+    __slots__ = ("_facets", "ambient", "_faces", "_fvec", "_dual")
 
     def __init__(self, faces, ambient: int | None = None):
         """Build the complex generated by ``faces`` (bitmasks or vertex
@@ -61,6 +65,7 @@ class SimplicialComplex:
         self.ambient = ambient
         self._faces = None
         self._fvec = None
+        self._dual = _UNDECIDED
 
     @classmethod
     def _from_faces(cls, faces: set, ambient: int) -> SimplicialComplex:
@@ -74,6 +79,7 @@ class SimplicialComplex:
         cx.ambient = ambient
         cx._faces = frozenset(faces)
         cx._fvec = None
+        cx._dual = _UNDECIDED
         return cx
 
     # -- state ------------------------------------------------------------
@@ -141,13 +147,27 @@ class SimplicialComplex:
         return grouped
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_{-1}, f_0, ..., f_d); errors on the void complex."""
+        """(f_{-1}, f_0, ..., f_d); errors on the void complex. Memoized.
+
+        With a smaller Alexander dual the counts come from the dual's faces:
+        a set of size s is a face iff its complement is not a dual face, so
+        f_{s-1}(Δ) = C(n, s) - #{dual faces of size n - s} (Björner and
+        Tancer, DCG 2009). Otherwise the faces are counted directly."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
         if self._fvec is None:
-            counts = [0] * (self.dim + 2)
-            for m in self.face_set():
-                counts[m.bit_count()] += 1
+            size = self.dim + 2
+            dual = self._small_dual()
+            if dual is None:
+                counts = [0] * size
+                for m in self.face_set():
+                    counts[m.bit_count()] += 1
+            else:
+                n = self.ambient
+                co = [0] * (n + 1)
+                for m in dual.face_set():
+                    co[m.bit_count()] += 1
+                counts = [comb(n, s) - co[n - s] for s in range(size)]
             self._fvec = tuple(counts)
         return self._fvec
 
@@ -238,6 +258,11 @@ class SimplicialComplex:
         dual of the void complex is the full simplex, and the dual of the
         full simplex is void.
         """
+        return self._dual_within(None)
+
+    def _dual_within(self, limit: int | None) -> SimplicialComplex | None:
+        """``alexander_dual()``, or None as soon as the walk finds more than
+        ``limit`` dual faces (no limit when None)."""
         n = self.ambient
         full = (1 << n) - 1
         blocked = {full & ~f for f in self._facets}
@@ -254,24 +279,43 @@ class SimplicialComplex:
                         continue
                     if all((cand & ~(1 << u)) in faces for u in bits(m)):
                         nxt.append(cand)
+                        if limit is not None and len(faces) + len(nxt) > limit:
+                            return None
             faces.update(nxt)
             level = nxt
         return SimplicialComplex._from_faces(faces, n)
+
+    def _small_dual(self) -> SimplicialComplex | None:
+        """The Alexander dual when it has fewer faces than this complex but
+        at least one, else None. Memoized; no face of this complex is listed.
+
+        |Δ| + |Δ^∨| = 2^n, so the dual is the smaller side iff it has fewer
+        than 2^(n-1) faces. The sum of 2^|F| over the facets bounds |Δ| from
+        above; when it is at most 2^(n-1) the dual cannot be smaller and no
+        walk runs. Otherwise the dual walk stops past 2^(n-1) - 1 faces."""
+        if self._dual is _UNDECIDED:
+            n = self.ambient
+            dual = None
+            if sum(1 << f.bit_count() for f in self._facets) << 1 > 1 << n:
+                dual = self._dual_within(((1 << n) - 1) >> 1)
+                if dual is not None and dual.is_void:  # the full simplex
+                    dual = None
+            self._dual = dual
+        return self._dual
 
     # -- global properties ---------------------------------------------------
 
     def complete_skeleton_dim(self) -> int:
         """Largest d such that every subset of the ambient vertex set of size
-        <= d+1 is a face; -1 for any nonvoid complex, -2 for the void one."""
+        <= d+1 is a face, read off the f-vector; -1 when no vertex set
+        qualifies (as for {∅}), -2 for the void complex."""
         if self.is_void:
             return -2
         d = -1
-        max_size = self.dim + 1
-        for s in range(1, max_size + 1):
-            if all(self.has_face(m) for m in ksubset_masks(self.ambient, s)):
-                d = s - 1
-            else:
+        for s, count in enumerate(self.f_vector()[1:], start=1):
+            if count != comb(self.ambient, s):
                 break
+            d = s - 1
         return d
 
     # -- serialization, equality ----------------------------------------------

@@ -8,7 +8,8 @@ coefficients are the diagonal entries greater than one.
 Everything is exact: the Smith reduction works on sparse rows of unbounded
 Python ints. Boundary matrices and Smith reduction run on whichever side of
 Alexander duality has fewer faces; for cut complexes that is usually the
-dual. Picking the side still counts the primal faces one by one.
+dual. The side comes from the complex's memoized small dual, which is decided
+without listing a face of the larger side.
 """
 
 from __future__ import annotations
@@ -228,7 +229,10 @@ def _dual_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
     of H~_(n-i-4)(Δ^∨). The full simplex has a void dual and raises.
     """
     n = cx.ambient
-    dual_ranks, dual_torsion = _primal_groups(cx.alexander_dual())
+    dual = cx._small_dual()
+    if dual is None:  # the dual is the larger side, or void
+        dual = cx.alexander_dual()
+    dual_ranks, dual_torsion = _primal_groups(dual)
     dims = range(-1, cx.dim + 1)
     return (
         {i: dual_ranks.get(n - i - 3, 0) for i in dims},
@@ -239,15 +243,13 @@ def _dual_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
 def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     """Reduced integer homology, computed on the smaller Alexander-dual side.
 
-    The dual has exactly 2^n - |Δ| faces, so the side is picked from the
-    primal face count alone. ``f_vector`` gets that count by enumerating
-    every primal face, even when the dual is the smaller side. Ties and the
-    full simplex, whose dual is void, stay primal.
+    The dual has exactly 2^n - |Δ| faces. It is used when it has fewer faces
+    than Δ, which the capped dual walk behind the complex's small-dual memo
+    decides without listing a primal face; that same dual is then reused.
+    Ties and the full simplex, whose dual is void, stay primal.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
-    primal_faces = sum(cx.f_vector())
-    dual_faces = (1 << cx.ambient) - primal_faces
-    if 0 < dual_faces < primal_faces:
+    if cx._small_dual() is not None:
         return HomologyReport(*_dual_groups(cx), side="dual")
     return HomologyReport(*_primal_groups(cx), side="primal")

@@ -1,4 +1,6 @@
 import json
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from cutcomplex import (
     family,
     from_facets,
     full_simplex,
+    mask_of,
     to_tuple,
 )
 from cutcomplex.complexes import _normalize
@@ -155,6 +158,83 @@ def test_complete_skeleton_dim():
     assert from_facets([()]).complete_skeleton_dim() == -1
     # two disjoint edges miss some vertex pairs
     assert from_facets([(0, 1), (2, 3)]).complete_skeleton_dim() == 0
+
+
+@st.composite
+def ambient_complexes(draw):
+    """Complexes on at most 9 ambient vertices, some of them possibly in no
+    facet. Half the draws take facets that miss one or two vertices, so the
+    dual is often the smaller side; {∅}, the full simplex and small facets
+    (Σ 2^|F| <= 2^(n-1)) come from the other half."""
+    used = draw(st.integers(1, 8))
+    n = used + draw(st.sampled_from((0, 0, 0, 1)))
+    full = (1 << used) - 1
+    if draw(st.booleans()):
+        holes = st.sets(st.integers(0, used - 1), min_size=1, max_size=2)
+        masks = [full & ~mask_of(h) for h in draw(st.lists(holes, min_size=1, max_size=8))]
+    else:
+        masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=8))
+    return from_facets(masks, ambient=n)
+
+
+SIDE_EXAMPLES = [
+    from_facets([()]),
+    from_facets([()], ambient=3),
+    full_simplex(5),
+    from_facets([(0, 1)], ambient=5),  # Σ 2^|F| <= 2^(n-1): decided without a walk
+    from_facets([(0, 1, 2), (2, 3, 4), (0, 4)]),  # the walk overflows: |Δ| = 15 < 16
+    cut_complex(family("cycle:5"), 2),  # the dual has 11 faces, |Δ| = 21
+    from_facets([(0, 1, 2, 3, 4, 5, 6, 7)], ambient=9),  # a vertex in no facet
+]
+
+
+def side_examples(test):
+    for cx in SIDE_EXAMPLES:
+        test = example(cx)(test)
+    return test
+
+
+def _brute_skeleton_dim(cx):
+    if cx.is_void:
+        return -2
+    d = -1
+    for s in range(1, cx.ambient + 1):
+        if not all(cx.has_face(c) for c in combinations(range(cx.ambient), s)):
+            break
+        d = s - 1
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_complexes())
+@example(from_facets([]))
+@example(from_facets([], ambient=3))
+@example(from_facets([(0, 1), (2, 3)]))
+@side_examples
+def test_complete_skeleton_dim_matches_brute_force(cx):
+    assert cx.complete_skeleton_dim() == _brute_skeleton_dim(cx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient_complexes())
+@side_examples
+def test_f_vector_from_the_dual_matches_enumeration(cx):
+    n = cx.ambient
+    enumerated = [0] * (cx.dim + 2)
+    for m in from_facets(cx.facets, ambient=n).face_set():
+        enumerated[m.bit_count()] += 1
+    dual = cx._small_dual()
+    # the dual is the chosen side iff it is nonempty and smaller than Δ
+    assert (dual is not None) == (0 < 2**n - sum(enumerated) < sum(enumerated))
+    assert cx.f_vector() == tuple(enumerated)
+    if dual is not None:
+        assert cx._faces is None  # the counts came from the dual
+        assert dual == cx.alexander_dual()
+        co = [0] * (n + 1)
+        for m in dual.face_set():
+            co[m.bit_count()] += 1
+        # every set larger than a facet is a non-face, so its complement is a dual face
+        assert all(comb(n, s) == co[n - s] for s in range(cx.dim + 2, n + 1))
 
 
 @settings(max_examples=80, deadline=None)

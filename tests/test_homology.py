@@ -13,10 +13,12 @@ from cutcomplex import (
     from_edge_list,
     from_facets,
     full_simplex,
+    predicted_betti,
     realize_as_cut_complex,
     reduced_homology,
     smith_normal_form,
 )
+from cutcomplex import complexes
 from cutcomplex.homology import HomologyReport, _divisibility_chain, _dual_groups, _primal_groups
 
 from conftest import matrix_from_rows, matrix_product, random_graph
@@ -294,3 +296,18 @@ def test_side_picker_choices():
     assert (g.n, k) == (16, 13)
     rep = reduced_homology(cut_complex(g, k))
     assert rep.side == "primal" and rep.torsion_at(1) == (2,)
+
+
+def test_counts_and_homology_never_list_the_larger_side(monkeypatch):
+    # Δ_3(C_20) has 1,048,345 faces and a 231-face dual
+    cx = cut_complex(family("cycle:20"), 3)
+
+    def refuse(mask):
+        raise AssertionError("the primal faces were enumerated")
+
+    monkeypatch.setattr(complexes, "submasks", refuse)
+    assert sum(cx.f_vector()) == 2**20 - 231
+    rep = reduced_homology(cx)
+    assert rep.side == "dual" and cx._faces is None
+    assert rep.euler() == cx.reduced_euler()
+    assert predicted_betti("cycle:20", 3).matches(cx, rep)
