@@ -129,10 +129,8 @@ def cmd_build(args) -> int:
         fvec = cx.f_vector()
         report["f_vector"] = list(fvec)
         report["mu"] = cx.reduced_euler()
-        lines.append(
-            f"facets ({len(cx.facets)}): "
-            + " ".join(_facet_str(g, f) for f in cx.facets)
-        )
+        if not args.json:  # one label string per facet: skip it when only JSON is printed
+            lines.append(f"facets ({len(cx.facets)}): " + " ".join(_facet_str(g, f) for f in cx.facets))
         lines.append(f"f-vector (from dim -1): {fvec}")
         lines.append(f"reduced Euler characteristic: {report['mu']}")
     holds, mu_formula = _formula_mu(g, args.k)
@@ -180,7 +178,11 @@ def cmd_shell(args) -> int:
         "certificate": cert.to_json_obj(),
     }
     lines = [f"graph: {args.graph}", f"k: {args.k}", f"verdict: {cert.verdict} (nodes explored: {cert.nodes})"]
-    if cert.order:
+    if cert.obstruction:
+        dim, rank, torsion = cert.obstruction
+        tors = f" torsion {list(torsion)}" if torsion else ""
+        lines.append(f"obstruction: H~_{dim}: rank {rank}{tors} below the top dimension {cx.dim}")
+    if cert.order and not args.json:
         lines.append("order: " + " ".join(_facet_str(g, sum(1 << v for v in f)) for f in cert.order))
     _emit(report, args.json, lines)
     return 0

@@ -3,31 +3,49 @@
 A facet order F_1..F_t is a shelling when for every i < j some earlier F_k
 meets F_j in exactly |F_j| - 1 vertices with F_i ∩ F_j inside F_k ∩ F_j.
 ``verify_shelling_order`` checks that pairwise criterion directly;
-``find_shelling`` searches facet orders exhaustively with certificates: an
-accepted order, a proof-of-exhaustion, or a budget-exceeded marker.
+``find_shelling`` decides shellability with certificates: an accepted order,
+a homology obstruction, a proof-of-exhaustion, or a budget-exceeded marker.
+
+``find_shelling`` tries three things in turn. First, the ascending facet
+order, which is often already a shelling. Second, a homology obstruction: a
+shellable pure d-complex is homotopy equivalent to a wedge of d-spheres
+(Björner, "Topological methods", Handbook of Combinatorics 1995), so a
+nonzero H̃_i with i < d, or any torsion, proves it is not shellable. Only if
+the homology is clean does the search run.
 
 The search decides a candidate F_j by its restriction set against the placed
-prefix P (Björner, "Topological methods", Handbook of Combinatorics 1995):
-R = {v in F_j : the ridge F_j - v lies in a facet of P}, and F_j may follow
-P iff no facet of P contains R. So no table over facet pairs is built. The
-search loops over an explicit stack, so it never meets the recursion limit.
+prefix P (Björner 1995): R = {v in F_j : the ridge F_j - v lies in a facet of
+P}, and F_j may follow P iff no facet of P contains R. So no table over facet
+pairs is built. The search loops over an explicit stack, so it never meets
+the recursion limit.
 
 Key soundness point: whether an order can be extended depends only on the
 *set* of facets placed so far, so failed prefix sets are memoized. A "not
-shellable" verdict needs the full search tree exhausted within budget; no
-symmetry reduction is applied, as an unsound one would void that certificate.
+shellable" verdict from the search needs the full search tree exhausted
+within budget; no symmetry reduction is applied, as an unsound one would void
+that certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitsets import bits, mask_of, to_tuple
 from .complexes import SimplicialComplex
 from .graphs import family
 from .cuts import disconnected_ksets
+from .homology import reduced_homology
 
 DEFAULT_BUDGET = 10_000_000
+
+
+class Obstruction(NamedTuple):
+    """The lowest nonzero reduced homology group below the top dimension."""
+
+    dim: int
+    rank: int
+    torsion: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -36,18 +54,23 @@ class ShellingCertificate:
     order: tuple[tuple[int, ...], ...] | None
     nodes: int
     void_input: bool = False
+    obstruction: Obstruction | None = None
 
     @property
     def is_shellable(self) -> bool:
         return self.verdict == "shellable"
 
     def to_json_obj(self):
-        return {
+        obj = {
             "verdict": self.verdict,
             "order": [list(f) for f in self.order] if self.order is not None else None,
             "nodes": self.nodes,
             "void_input": self.void_input,
         }
+        if self.obstruction is not None:
+            dim, rank, torsion = self.obstruction
+            obj["obstruction"] = {"dim": dim, "rank": rank, "torsion": list(torsion)}
+        return obj
 
 
 def _facet_permutation(cx: SimplicialComplex, order):
@@ -98,9 +121,24 @@ def _blocked(row, prefix: int) -> int:
     return common
 
 
+def _homology_obstruction(cx: SimplicialComplex) -> Obstruction | None:
+    """The lowest H̃_i with i < dim that has nonzero rank or torsion, or None.
+
+    A shellable pure complex is a wedge of top-dimensional spheres, so any
+    such group proves ``cx`` not shellable. H̃_dim is always free, being a
+    subgroup of the top chain group."""
+    rep = reduced_homology(cx)
+    for i in range(-1, cx.dim):
+        if rep.betti(i) or rep.torsion_at(i):
+            return Obstruction(i, rep.betti(i), rep.torsion_at(i))
+    return None
+
+
 def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> ShellingCertificate:
-    """Depth-first search over facet prefixes by the restriction-set test.
-    Equivalent prefixes are detected by facet set."""
+    """Shell ``cx`` by the ascending facet order if it is one; otherwise
+    return ``not_shellable`` with a homology obstruction and 0 nodes if one
+    exists (Björner 1995); otherwise search facet prefixes depth first by the
+    restriction-set test, within ``budget`` nodes."""
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if cx.is_void:
@@ -118,7 +156,16 @@ def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shelli
     # cheap first attempt: ascending-mask order is often already a shelling
     if not any(_blocked(rows[j], (1 << j) - 1) for j in range(t)):
         return ShellingCertificate("shellable", tuple(to_tuple(f) for f in facets), 0)
+    obstruction = _homology_obstruction(cx)
+    if obstruction is not None:
+        return ShellingCertificate("not_shellable", None, 0, obstruction=obstruction)
+    return _search(facets, rows, budget)
 
+
+def _search(facets, rows, budget: int) -> ShellingCertificate:
+    """Depth-first search over facet prefixes; equivalent prefixes are
+    detected by facet set. ``rows`` is ``_restriction_rows(facets)``."""
+    t = len(facets)
     failed: set[int] = set()  # facet-index bitmasks of prefixes that cannot be completed
     order: list[int] = []  # facet indices placed so far
     nodes = prefix = start = 0  # prefix: bitmask of order; start: first index the next scan tries

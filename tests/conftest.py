@@ -12,6 +12,13 @@ from itertools import combinations
 from cutcomplex import Graph, IntMatrix, from_edge_list
 
 
+# the 6-vertex real projective plane: H~_1 = Z/2, its only nonzero group
+RP2_FACETS = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return from_edge_list(n, edges)

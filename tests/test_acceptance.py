@@ -31,12 +31,7 @@ from cutcomplex import (
     verify_shelling_order,
     wedge,
 )
-from conftest import random_chordal, random_forest, random_graph
-
-RP2_FACETS = [
-    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-]
+from conftest import RP2_FACETS, random_chordal, random_forest, random_graph
 
 
 def _passed(name):

@@ -28,14 +28,9 @@ from cutcomplex import (
     triangle_free_delta2_betti,
     wedge_anchor_count,
 )
-from conftest import random_forest, random_graph
+from conftest import RP2_FACETS, random_forest, random_graph
 
 FIG2 = from_edge_list(5, [(0, 2), (0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
-
-RP2_FACETS = [
-    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-]
 
 
 def tuples(masks):

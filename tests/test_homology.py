@@ -21,12 +21,7 @@ from cutcomplex import (
 from cutcomplex import complexes
 from cutcomplex.homology import HomologyReport, _divisibility_chain, _dual_groups, _primal_groups
 
-from conftest import matrix_from_rows, matrix_product, random_graph
-
-RP2_FACETS = [
-    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-]
+from conftest import RP2_FACETS, matrix_from_rows, matrix_product, random_graph
 
 
 def test_snf_identity():

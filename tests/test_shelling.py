@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
@@ -18,10 +19,12 @@ from cutcomplex import (
     verify_shelling_order,
     wedge,
 )
-from cutcomplex.shelling import _blocked, _restriction_rows
-from conftest import random_chordal, random_graph
+from cutcomplex.shelling import Obstruction, _blocked, _homology_obstruction, _restriction_rows, _search
+from conftest import RP2_FACETS, random_chordal, random_graph
 
 FIG2 = from_edge_list(5, [(0, 2), (0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
+RP2 = from_facets(RP2_FACETS)
+BOWTIE = from_facets([(0, 1, 2), (0, 3, 4)])  # two triangles sharing one vertex
 
 
 def test_verify_single_facet_and_empty():
@@ -78,9 +81,13 @@ def test_find_shelling_fig2_chordal():
 
 
 def test_find_shelling_budget_unknown():
-    cx = cut_complex(family("prism:5"), 2)
-    cert = find_shelling(cx, budget=3)
-    assert cert.verdict == "unknown" and cert.order is None
+    # clean homology and no ascending shelling, so only the search can decide it
+    cx = cut_complex(family("squared_cycle:9"), 3)
+    cert = find_shelling(cx, budget=0)
+    assert cert.verdict == "unknown" and cert.order is None and cert.obstruction is None
+    # the homology obstruction needs no budget
+    cert = find_shelling(cut_complex(family("prism:5"), 2), budget=3)
+    assert cert.verdict == "not_shellable" and cert.nodes == 0 and cert.obstruction is not None
 
 
 def test_found_orders_always_verify():
@@ -273,3 +280,60 @@ def test_restriction_set_edge_cases():
     rows = _restriction_rows(facets)
     assert all(_blocked(rows[j], 0b111 & ~(1 << j)) == 0 for j in range(3))
     assert find_shelling(from_facets(facets)).nodes == 0
+
+
+# -- the homology obstruction against the search -----------------------------
+
+
+@st.composite
+def pure_complexes_and_cut_complexes(draw):
+    n = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        faces = list(combinations(range(n), draw(st.integers(1, n - 1))))
+        picked = draw(st.integers(0, (1 << len(faces)) - 1))  # a uniform draw keeps about half
+        return from_facets([f for i, f in enumerate(faces) if picked >> i & 1][:12])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1))
+    return cut_complex(from_edge_list(n, edges), draw(st.integers(2, n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pure_complexes_and_cut_complexes())
+@example(RP2)
+@example(BOWTIE)
+@example(cut_complex(family("cycle:5"), 2))
+def test_homology_obstruction_never_contradicts_the_search(cx):
+    if cx.is_void or len(cx.facets) < 2:
+        return
+    obstruction = _homology_obstruction(cx)
+    cert = _search(cx.facets, _restriction_rows(cx.facets), 10**6)
+    assert cert.verdict != "unknown"
+    # an obstruction never meets a shelling, whichever of the two is found
+    assert obstruction is None or cert.verdict == "not_shellable"
+    assert find_shelling(cx).verdict == cert.verdict
+
+
+def test_clean_homology_still_needs_the_search():
+    # contractible, yet no ridge joins the two triangles
+    assert _homology_obstruction(BOWTIE) is None
+    cert = find_shelling(BOWTIE)
+    assert cert.verdict == "not_shellable" and cert.nodes > 0 and cert.obstruction is None
+    assert "obstruction" not in cert.to_json_obj()
+
+
+def test_rp2_obstruction_is_torsion():
+    cert = find_shelling(RP2)
+    assert cert.verdict == "not_shellable" and cert.nodes == 0
+    assert cert.obstruction == Obstruction(1, 0, (2,))
+    assert cert.to_json_obj()["obstruction"] == {"dim": 1, "rank": 0, "torsion": [2]}
+
+
+def test_shortcut_shellings_never_compute_homology(monkeypatch):
+    def fail(cx):
+        raise AssertionError("reduced_homology called")
+
+    monkeypatch.setattr("cutcomplex.shelling.reduced_homology", fail)
+    cx = cut_complex(family("cycle:11"), 5)
+    cert = find_shelling(cx)
+    assert cert.verdict == "shellable" and cert.nodes == 0
+    assert verify_shelling_order(cx, cert.order)[0]
