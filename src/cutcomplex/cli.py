@@ -23,6 +23,7 @@ from .cuts import (
     cut_complex,
     predicted_betti,
     realize_as_cut_complex,
+    relabel_densely,
     skeleton_condition_euler,
 )
 from .graphs import (
@@ -100,10 +101,10 @@ def _predict(spec: str, k: int, cx, rep):
     return pred, pred.matches(cx, rep)
 
 
-def _formula_mu(g: Graph, k: int):
+def _formula_mu(g: Graph, cx):
     """(condition holds, formula mu) or (None, None) when out of range/void."""
     try:
-        return skeleton_condition_euler(g, k)
+        return skeleton_condition_euler(g, cx)
     except ValueError:
         return None, None
 
@@ -133,7 +134,7 @@ def cmd_build(args) -> int:
             lines.append(f"facets ({len(cx.facets)}): " + " ".join(_facet_str(g, f) for f in cx.facets))
         lines.append(f"f-vector (from dim -1): {fvec}")
         lines.append(f"reduced Euler characteristic: {report['mu']}")
-    holds, mu_formula = _formula_mu(g, args.k)
+    holds, mu_formula = _formula_mu(g, cx)
     report["skeleton_condition"] = holds
     report["mu_census_formula"] = mu_formula
     if holds:
@@ -249,7 +250,7 @@ def cmd_realize(args) -> int:
     except (OSError, ValueError) as e:
         raise CliError(f"cannot read complex JSON: {e}") from None
     g, k = realize_as_cut_complex(cx)
-    round_trip = cut_complex(g, k) == SimplicialComplex(cx.facets)
+    round_trip = cut_complex(g, k) == relabel_densely(cx)
     chordal, _ = is_chordal(g)
     report = {
         "n": g.n,
@@ -272,72 +273,60 @@ def cmd_realize(args) -> int:
 # ---------------------------------------------------------------------------
 # verify: family corpus, one row per (family, k)
 
-# rows: family spec, k, expected shellable (None = skip search), homology?
+# rows: family spec, k, expected shellable
 _TABLE1_SMALL = [
-    ("edgeless:5", 2, True, True),
-    ("edgeless:5", 3, True, True),
-    ("edgeless:5", 4, True, True),
-    ("complete:5", 2, True, True),
-    ("complete_multipartite:3,4", 2, False, True),
-    ("complete_multipartite:3,4", 3, False, True),
-    ("complete_multipartite:3,4", 4, True, True),
-    ("complete_multipartite:3,4", 5, True, True),
-    ("complete_multipartite:2,2,2", 2, False, True),
-    ("complete_multipartite:2,2,2", 3, True, True),
-    ("cycle:5", 2, False, True),
-    ("cycle:5", 3, True, True),
-    ("cycle:6", 3, True, True),
-    ("cycle:6", 4, True, True),
-    ("cycle:7", 3, True, True),
-    ("path:6", 2, True, True),
-    ("path:6", 3, True, True),
-    ("star:4", 2, True, True),
-    ("star:4", 3, True, True),
-    ("tree:0-1,1-2,2-3,3-4,2-5", 3, True, True),
-    ("prism:3", 2, False, True),
-    ("prism:3", 3, False, True),
-    ("prism:4", 3, None, True),
-    ("squared_cycle:7", 3, False, True),
-    ("squared_cycle:8", 4, False, True),
-    ("kayak:4", 4, False, False),
-    ("kayak:5", 5, False, False),
-    ("threshold:1011", 2, True, False),
-    ("threshold:1011", 3, True, False),
-    ("balloon:5,3", 3, True, True),
-    ("figure_eight:4,4", 4, True, True),
-    ("petersen", 2, None, True),
+    ("edgeless:5", 2, True),
+    ("edgeless:5", 3, True),
+    ("edgeless:5", 4, True),
+    ("complete:5", 2, True),
+    ("complete_multipartite:3,4", 2, False),
+    ("complete_multipartite:3,4", 3, False),
+    ("complete_multipartite:3,4", 4, True),
+    ("complete_multipartite:3,4", 5, True),
+    ("complete_multipartite:2,2,2", 2, False),
+    ("complete_multipartite:2,2,2", 3, True),
+    ("cycle:5", 2, False),
+    ("cycle:5", 3, True),
+    ("cycle:6", 3, True),
+    ("cycle:6", 4, True),
+    ("cycle:7", 3, True),
+    ("path:6", 2, True),
+    ("path:6", 3, True),
+    ("star:4", 2, True),
+    ("star:4", 3, True),
+    ("tree:0-1,1-2,2-3,3-4,2-5", 3, True),
+    ("prism:3", 2, False),
+    ("prism:3", 3, False),
+    ("prism:4", 3, False),
+    ("squared_cycle:7", 3, False),
+    ("squared_cycle:8", 4, False),
+    ("kayak:4", 4, False),
+    ("kayak:5", 5, False),
+    ("threshold:1011", 2, True),
+    ("threshold:1011", 3, True),
+    ("balloon:5,3", 3, True),
+    ("figure_eight:4,4", 4, True),
+    ("petersen", 2, False),
 ]
 
 
-def _verify_row(spec, k, expect_shellable, check_homology, budget):
-    g = family(spec)
-    cx = cut_complex(g, k)
-    row = {"family": spec, "k": k, "ok": True, "detail": []}
-
-    if check_homology:
-        rep = None if cx.is_void else reduced_homology(cx)
-        pred, match = _predict(spec, k, cx, rep)
-        row["predicted"] = pred.to_json_obj() if pred else None
-        if pred:
-            row["betti_ok"] = match
-        if not match:
-            row["ok"] = False
-            row["detail"].append("betti mismatch")
-        if rep is not None:
-            consistent = rep.euler() == cx.reduced_euler()
-            row["euler_ok"] = consistent
-            if not consistent:
-                row["ok"] = False
-                row["detail"].append("euler mismatch")
-
-    if expect_shellable is not None:
-        cert = find_shelling(cx, budget=budget)
-        got = cert.verdict
-        row["shelling"] = got
-        want = "shellable" if expect_shellable else "not_shellable"
-        if got != want:
-            row["ok"] = False
-            row["detail"].append(f"shelling: expected {want}, got {got}")
+def _verify_row(spec, k, expect_shellable, budget):
+    cx = cut_complex(family(spec), k)
+    rep = None if cx.is_void else reduced_homology(cx)
+    pred, match = _predict(spec, k, cx, rep)
+    cert = find_shelling(cx, budget=budget)
+    row = {"family": spec, "k": k, "predicted": pred.to_json_obj() if pred else None, "shelling": cert.verdict}
+    detail = [] if match else ["betti mismatch"]
+    if pred:
+        row["betti_ok"] = match
+    if rep is not None:
+        row["euler_ok"] = rep.euler() == cx.reduced_euler()
+        if not row["euler_ok"]:
+            detail.append("euler mismatch")
+    want = "shellable" if expect_shellable else "not_shellable"
+    if cert.verdict != want:
+        detail.append(f"shelling: expected {want}, got {cert.verdict}")
+    row.update(ok=not detail, detail=detail)
     return row
 
 
@@ -346,8 +335,8 @@ def cmd_verify(args) -> int:
         raise CliError(f"unknown corpus {args.corpus!r} (try table1-small)")
     rows = []
     status = 0
-    for spec, k, shell, hom in _TABLE1_SMALL:
-        row = _verify_row(spec, k, shell, hom, args.budget)
+    for spec, k, shell in _TABLE1_SMALL:
+        row = _verify_row(spec, k, shell, args.budget)
         rows.append(row)
         if not row["ok"]:
             status = MISMATCH
@@ -442,10 +431,12 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = make_parser()  # built once: main runs many times in one process
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return PARSE_ERROR if e.code not in (0, None) else 0
     try:

@@ -85,26 +85,28 @@ def no_short_cycle_guarantee(g: Graph, k: int) -> bool:
     return girth is None or girth > k + 1
 
 
-def skeleton_condition_euler(g: Graph, k: int) -> tuple[bool, int | None]:
-    """Check whether the k-cut complex contains a complete skeleton one
-    dimension below its ridges; when it does, return the reduced Euler
-    characteristic from the census formula.
+def skeleton_condition_euler(g: Graph, cx: SimplicialComplex) -> tuple[bool, int | None]:
+    """Check whether ``cx``, the k-cut complex of ``g``, contains a complete
+    skeleton one dimension below its ridges; when it does, return the reduced
+    Euler characteristic from the census formula.
 
-    The condition: for every connected k-subset A and every x outside A there
-    is a y in A with (A - y) + x disconnected. When it holds,
-    (-1)^(n-k-1) * mu = C(n-1, k-1) - #(connected k-subsets).
+    The disconnected k-sets are the complements of the facets, and k is n
+    minus the facet size. The condition: for every connected k-subset A and
+    every x outside A there is a y in A with (A - y) + x disconnected. When
+    it holds, (-1)^(n-k-1) * mu = C(n-1, k-1) - #(connected k-subsets).
     """
+    if cx.is_void:
+        raise ValueError("void cut complex: the condition does not apply")
     n = g.n
+    k = n - cx.facets[0].bit_count()
     if not (2 <= k <= n - 1):
         raise ValueError("condition needs 2 <= k <= n-1")
-    disconnected = set(disconnected_ksets(g, k))
-    if not disconnected:
-        raise ValueError("void cut complex: the condition does not apply")
+    full = g.full_mask
+    disconnected = {full ^ f for f in cx.facets}
     z = comb(n, k) - len(disconnected)
     mu = (comb(n - 1, k - 1) - z) * (-1 if (n - k - 1) % 2 else 1)
     if no_short_cycle_guarantee(g, k):
         return True, mu
-    full = g.full_mask
     for m in ksubset_masks(n, k):
         if m in disconnected:
             continue
@@ -119,21 +121,25 @@ def skeleton_condition_euler(g: Graph, k: int) -> tuple[bool, int | None]:
 # universal realization
 
 
-def realize_as_cut_complex(cx: SimplicialComplex) -> tuple[Graph, int]:
-    """Produce a chordal graph G and k with cut_complex(G, k) equal to the
-    input. Complex vertices come first in G, one apex per facet after them.
+def relabel_densely(cx: SimplicialComplex) -> SimplicialComplex:
+    """``cx`` with its vertices renamed 0..nv-1 in increasing order."""
+    pos = {v: i for i, v in enumerate(cx.vertices())}
+    return SimplicialComplex([mask_of(pos[v] for v in to_tuple(f)) for f in cx.facets])
 
-    The input must be pure, nonvoid, and have at least one vertex; its vertex
-    set is relabelled densely if it is not already 0..nv-1.
+
+def realize_as_cut_complex(cx: SimplicialComplex) -> tuple[Graph, int]:
+    """Produce a chordal graph G and k with cut_complex(G, k) equal to
+    ``relabel_densely(cx)``. Complex vertices come first in G, one apex per
+    facet after them.
+
+    The input must be pure, nonvoid, and have at least one vertex.
     """
     if cx.is_void or cx.is_empty_complex:
         raise ValueError("realization needs a complex with at least one vertex")
     if not cx.is_pure:
         raise ValueError("realization needs a pure complex")
-    verts = cx.vertices()
-    pos = {v: i for i, v in enumerate(verts)}
-    facets = sorted(mask_of(pos[v] for v in to_tuple(f)) for f in cx.facets)
-    nv = len(verts)
+    facets = relabel_densely(cx).facets
+    nv = len(cx.vertices())
     t = len(facets)
     d = cx.dim
     if t > 1:
@@ -164,7 +170,7 @@ class BettiPrediction:
     """Expected homotopy type: a wedge of ``count`` spheres in dimension
     ``dim``, or one of the degenerate flags."""
 
-    status: str  # "wedge" | "contractible" | "point" | "void"
+    status: str  # "wedge" | "contractible" | "void"
     dim: int | None = None
     count: int | None = None
 
@@ -191,7 +197,7 @@ class BettiPrediction:
             return cx.is_void
         if cx.is_void or report is None:
             return False
-        if self.status in ("contractible", "point"):
+        if self.status == "contractible":
             return report.is_free() and all(r == 0 for r in report.ranks.values())
         return report.free_concentrated(self.dim, self.count)
 

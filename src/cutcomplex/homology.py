@@ -201,37 +201,29 @@ class HomologyReport:
 def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
     """Free ranks and torsion of H~_i(cx) for i = -1..dim, computed on cx."""
     mats = boundary_matrices(cx)
-    by_dim = cx.faces_by_dim()
     snfs = [smith_normal_form(m) for m in mats]
-    rank = [s[1] for s in snfs]
     ranks = {}
     torsion = {}
     for i in range(-1, cx.dim + 1):
-        ci = 1 if i == -1 else len(by_dim.get(i, []))
-        r_in = rank[i] if 0 <= i < len(mats) else 0
-        r_out = rank[i + 1] if 0 <= i + 1 < len(mats) else 0
+        # C_i has one column of ∂_i per i-face; C_{-1} is the empty face alone
+        ci, r_in = (mats[i].ncols, snfs[i][1]) if i >= 0 else (1, 0)
+        diag, r_out = snfs[i + 1] if i + 1 < len(mats) else ((), 0)
         ranks[i] = ci - r_in - r_out
-        if 0 <= i + 1 < len(mats):
-            tors = tuple(d for d in snfs[i + 1][0] if d > 1)
-        else:
-            tors = ()
-        torsion[i] = tors
+        torsion[i] = tuple(d for d in diag if d > 1)
     return ranks, torsion
 
 
-def _dual_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
-    """The same groups as ``_primal_groups``, computed on the Alexander dual.
+def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex) -> tuple[dict, dict]:
+    """The same groups as ``_primal_groups``, computed on ``dual``, the
+    Alexander dual of ``cx``.
 
     Over an ambient set of n vertices, H~_i(Δ; Z) is isomorphic to
     H~^(n-i-3)(Δ^∨; Z) (Björner and Tancer, "Combinatorial Alexander duality
     -- a short and elementary proof", DCG 2009). By universal coefficients
     the free rank of H~_i(Δ) is β_(n-i-3)(Δ^∨) and its torsion is the torsion
-    of H~_(n-i-4)(Δ^∨). The full simplex has a void dual and raises.
+    of H~_(n-i-4)(Δ^∨). A void dual (that of the full simplex) raises.
     """
     n = cx.ambient
-    dual = cx._small_dual()
-    if dual is None:  # the dual is the larger side, or void
-        dual = cx.alexander_dual()
     dual_ranks, dual_torsion = _primal_groups(dual)
     dims = range(-1, cx.dim + 1)
     return (
@@ -250,6 +242,7 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
-    if cx._small_dual() is not None:
-        return HomologyReport(*_dual_groups(cx), side="dual")
+    dual = cx._small_dual()
+    if dual is not None:
+        return HomologyReport(*_dual_groups(cx, dual), side="dual")
     return HomologyReport(*_primal_groups(cx), side="primal")

@@ -122,6 +122,20 @@ def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]
     return visited == len(up), m.critical_census()
 
 
+def _bfs(g: Graph, root: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Breadth-first visit order from ``root`` and the (parent, child) edge
+    that discovers each vertex after the root."""
+    order = [root]
+    edges = []
+    seen = 1 << root
+    for v in order:  # the loop also visits the vertices appended below
+        for u in bits(g.adj[v] & ~seen):
+            seen |= 1 << u
+            order.append(u)
+            edges.append((v, u))
+    return order, edges
+
+
 def tree_matching_order(tree: Graph, root: int = 0) -> tuple[int, ...]:
     """Parents-before-children vertex order; feeding it to
     element_matching_sequence on the 2-cut complex of the tree matches every
@@ -131,34 +145,14 @@ def tree_matching_order(tree: Graph, root: int = 0) -> tuple[int, ...]:
         raise ValueError("root out of range")
     if tree.edge_count != n - 1 or not tree.is_connected():
         raise ValueError("input graph is not a tree")
-    order = [root]
-    seen = 1 << root
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for u in bits(tree.adj[v] & ~seen):
-            seen |= 1 << u
-            order.append(u)
-    return tuple(order)
+    return tuple(_bfs(tree, root)[0])
 
 
 def spanning_tree(g: Graph, root: int = 0) -> Graph:
     """Breadth-first spanning tree with the same vertex numbering."""
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    edges = []
-    seen = 1 << root
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for u in bits(g.adj[v] & ~seen):
-            seen |= 1 << u
-            edges.append((v, u))
-            queue.append(u)
-    return from_edge_list(g.n, edges)
+    return from_edge_list(g.n, _bfs(g, root)[1])
 
 
 def restricted_matching(g: Graph) -> MorseMatching:

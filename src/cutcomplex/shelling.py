@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .bitsets import bits, mask_of, to_tuple
 from .complexes import SimplicialComplex
 from .graphs import family
-from .cuts import disconnected_ksets
+from .cuts import cut_complex
 from .homology import reduced_homology
 
 DEFAULT_BUDGET = 10_000_000
@@ -206,8 +206,4 @@ def cycle_lex_order(n: int, k: int) -> list[tuple[int, ...]]:
         raise ValueError("the lexicographic order only shells k >= 3")
     if not (3 <= k <= n - 1):
         raise ValueError("need 3 <= k <= n-1")
-    g = family(f"cycle:{n}")
-    full = g.full_mask
-    facets = [to_tuple(full ^ m) for m in disconnected_ksets(g, k)]
-    facets.sort()
-    return facets
+    return sorted(cut_complex(family(f"cycle:{n}"), k).facet_tuples())

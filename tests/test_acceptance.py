@@ -42,7 +42,7 @@ def _euler_consistent(g, k, cx, rep):
     """Criterion 11 helper, applied throughout the suite."""
     assert rep.euler() == cx.reduced_euler()
     if 2 <= k <= g.n - 1 and not cx.is_void:
-        holds, mu = skeleton_condition_euler(g, k)
+        holds, mu = skeleton_condition_euler(g, cx)
         if holds:
             assert mu == cx.reduced_euler() == rep.euler()
 
@@ -283,7 +283,7 @@ def test_criterion_11_euler_consistency_sweep():
                 continue
             rep = reduced_homology(cx)
             assert rep.euler() == cx.reduced_euler()
-            holds, mu = skeleton_condition_euler(g, k)
+            holds, mu = skeleton_condition_euler(g, cx)
             if holds:
                 assert mu == cx.reduced_euler() == rep.euler()
     _passed("criterion 11: Euler consistency (f-vector, Betti sum, census formula)")

@@ -91,6 +91,16 @@ def test_realize_subcommand(tmp_path, capsys):
     assert report["n"] == 5 + 5 and report["k"] == 5 + 5 - 3
 
 
+def test_realize_relabels_a_gapped_vertex_set(tmp_path, capsys):
+    path = tmp_path / "gapped.json"
+    path.write_text(json.dumps({"facets": [[0, 2], [2, 5]], "ambient": 6}))
+    code, out, _ = run(capsys, "realize", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["round_trip_ok"] is True and report["chordal"] is True
+    assert report["n"] == 3 + 2 and report["k"] == 3
+
+
 def test_graph_file_argument(tmp_path, capsys):
     path = tmp_path / "graph.txt"
     path.write_text(write_graph_text(family("cycle:5")))
@@ -130,6 +140,21 @@ def test_verify_corpus_json(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert len(report["rows"]) > 20
+    # every row runs every check; only a void complex has no homology to check
+    for row in report["rows"]:
+        assert "shelling" in row
+        assert ("euler_ok" in row) != (row["predicted"] == {"status": "void", "dim": None, "count": None})
+
+
+def test_build_sweeps_the_ksets_once(monkeypatch, capsys):
+    import cutcomplex.cuts as cuts
+
+    calls = []
+    sweep = cuts.disconnected_ksets
+    monkeypatch.setattr(cuts, "disconnected_ksets", lambda g, k: calls.append(k) or sweep(g, k))
+    code, out, _ = run(capsys, "build", "prism:4", "--k", "3", "--json")
+    assert code == 0 and json.loads(out)["skeleton_condition"] is not None
+    assert calls == [3]
 
 
 def test_realize_malformed_input_exits_2(tmp_path, capsys):

@@ -138,21 +138,29 @@ def test_facets_via_ridges_empty_cases():
 
 
 def test_skeleton_condition_examples():
-    holds, mu = skeleton_condition_euler(family("cycle:6"), 3)
+    def condition(spec, k):
+        return skeleton_condition_euler(family(spec), cut_complex(family(spec), k))
+
+    holds, mu = condition("cycle:6", 3)
     assert holds and mu == comb(5, 2) - 6
-    holds, mu = skeleton_condition_euler(family("complete_multipartite:3,3"), 2)
+    holds, mu = condition("complete_multipartite:3,3", 2)
     assert holds and mu == -(comb(5, 1) - 9)
-    holds, mu = skeleton_condition_euler(family("cycle:4"), 2)
+    holds, mu = condition("cycle:4", 2)
     assert holds and mu == -(comb(3, 1) - 4) == 1
     # f-vector cross-check for the C4 case: two disjoint edges
     assert cut_complex(family("cycle:4"), 2).reduced_euler() == 1
 
 
 def test_skeleton_condition_errors():
-    with pytest.raises(ValueError):
-        skeleton_condition_euler(family("complete:4"), 2)  # void
-    with pytest.raises(ValueError):
-        skeleton_condition_euler(family("cycle:5"), 5)
+    g = family("complete:4")
+    with pytest.raises(ValueError, match="void"):
+        skeleton_condition_euler(g, cut_complex(g, 2))
+    g = family("cycle:5")
+    with pytest.raises(ValueError, match="void"):  # k = n on a connected graph
+        skeleton_condition_euler(g, cut_complex(g, 5))
+    g = family("edgeless:4")
+    with pytest.raises(ValueError, match="2 <= k <= n-1"):  # k = n: the facet is the empty face
+        skeleton_condition_euler(g, cut_complex(g, 4))
 
 
 def test_no_short_cycle_guarantee():
@@ -168,7 +176,7 @@ def test_condition_formula_against_f_vector(n, p, seed, k):
     if k > g.n - 1:
         return
     try:
-        holds, mu = skeleton_condition_euler(g, k)
+        holds, mu = skeleton_condition_euler(g, cut_complex(g, k))
     except ValueError:
         return
     if holds:
@@ -303,7 +311,7 @@ def test_disjoint_cycle_union_two_dimensional_homology():
         expected = {top: 1, top - 1: 2}
         assert {i: rep.betti(i) for i in rep.ranks if rep.betti(i)} == expected
         assert cx.reduced_euler() == (1 if (m + n) % 2 == 0 else -1)
-        holds, mu = skeleton_condition_euler(g, 2)
+        holds, mu = skeleton_condition_euler(g, cx)
         assert holds and mu == cx.reduced_euler()
 
 

@@ -227,7 +227,7 @@ def test_report_json_shape():
 
 def _both_sides(cx):
     primal = HomologyReport(*_primal_groups(cx))
-    dual = HomologyReport(*_dual_groups(cx))
+    dual = HomologyReport(*_dual_groups(cx, cx.alexander_dual()))
     assert primal == dual
     assert reduced_homology(cx) == primal
     return primal
@@ -262,7 +262,7 @@ def test_side_picker_keeps_the_full_simplex_primal():
     rep = reduced_homology(full_simplex(4))
     assert rep.side == "primal" and rep.nonzero_dims() == []
     with pytest.raises(ValueError):
-        _dual_groups(full_simplex(4))
+        _dual_groups(full_simplex(4), full_simplex(4).alexander_dual())
 
 
 def test_side_picker_with_vertices_in_no_facet():
