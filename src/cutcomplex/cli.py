@@ -216,12 +216,11 @@ def _morse_order(args, g: Graph, name: str | None):
 
 def cmd_morse(args) -> int:
     g, name = _load_graph(args.graph)
-    cx = cut_complex(g, args.k)
     order, prebuilt = _morse_order(args, g, name)
     if prebuilt is not None:
         matching = prebuilt
     else:
-        matching = element_matching_sequence(cx, order)
+        matching = element_matching_sequence(cut_complex(g, args.k), order)
     acyclic, census = verify_acyclic_and_critical(matching)
     report = {
         "graph": args.graph,

@@ -337,9 +337,9 @@ class SimplicialComplex:
         facets = [] if void else obj.get("facets")
         ambient = obj.get("ambient", 0 if void else None)
         if not (
-            isinstance(ambient, int)
+            type(ambient) is int
             and isinstance(facets, list)
-            and all(isinstance(f, list) and all(isinstance(v, int) and v >= 0 for v in f) for f in facets)
+            and all(isinstance(f, list) and all(type(v) is int and v >= 0 for v in f) for f in facets)
         ):
             raise ValueError(
                 'complex JSON needs "facets" (lists of vertex indices >= 0) and an integer "ambient"'

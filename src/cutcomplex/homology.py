@@ -6,10 +6,10 @@ form. Free ranks come from the ranks of consecutive boundary maps; torsion
 coefficients are the diagonal entries greater than one.
 
 Everything is exact: the Smith reduction works on sparse rows of unbounded
-Python ints. Boundary matrices and Smith reduction run on whichever side of
-Alexander duality has fewer faces; for cut complexes that is usually the
-dual. The side comes from the complex's memoized small dual, which is decided
-without listing a face of the larger side.
+Python ints, pivoting on the first unit entry. Boundary matrices and Smith
+reduction run on whichever side of Alexander duality has fewer faces; for
+cut complexes that is usually the dual. The side comes from the complex's
+memoized small dual, decided without listing a face of the larger side.
 """
 
 from __future__ import annotations
@@ -36,7 +36,11 @@ class IntMatrix:
 
 def _snf_sparse(nrows, ncols, entries):
     """Exact reduction on dict-of-dicts rows with Python ints; returns the
-    nonzero diagonal before it is put into divisibility order."""
+    nonzero diagonal before it is put into divisibility order. The pivot is
+    the first entry with |v| = 1 in row order, else the first of least |v|.
+    Every step is a unimodular row or column operation, so any pivot order
+    gives the same diagonal after ``_divisibility_chain``; a unit pivot is an
+    algebraic Morse reduction (Sköldberg, TAMS 2006)."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set] = {}
     for (r, c), v in entries.items():
@@ -59,15 +63,9 @@ def _snf_sparse(nrows, ncols, entries):
 
     diag = []
     while rows:
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                a = abs(v)
-                fill = (len(row) - 1) * (len(cols[c]) - 1)
-                key = (a, fill, r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c, v)
-        _, r, c, v = best
+        units = ((r, c, v) for r, row in rows.items() for c, v in row.items() if abs(v) == 1)
+        every = ((r, c, v) for r, row in rows.items() for c, v in row.items())
+        r, c, v = next(units, None) or min(every, key=lambda e: abs(e[2]))
         dirty = False
         for r2 in list(cols[c]):
             if r2 == r:

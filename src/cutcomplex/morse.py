@@ -67,8 +67,8 @@ def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatch
     for a in order:
         if not 0 <= a < cx.ambient:
             raise ValueError(f"vertex {a} is not in 0..{cx.ambient - 1}")
-    faces = sorted(cx.face_set())
-    face_set = set(faces)
+    face_set = cx.face_set()
+    faces = sorted(face_set)
     matched = set()
     pairs = []
     for a in order:

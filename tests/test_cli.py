@@ -169,6 +169,17 @@ def test_realize_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ")
 
 
+def test_realize_rejects_json_booleans(tmp_path, capsys):
+    # bool is a subclass of int, so true must not pass as vertex 1 or false as ambient 0
+    texts = ['{"facets": [[true, 2], [0, 2]], "ambient": 3}', '{"facets": [[0, 1]], "ambient": false}']
+    for i, text in enumerate(texts):
+        path = tmp_path / f"bool-{i}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "realize", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "an integer \"ambient\"" in err and err.count("\n") == 1
+
+
 def test_graph_file_named_like_a_family_gets_no_prediction(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "path:3").write_text(write_graph_text(family("edgeless:3")))

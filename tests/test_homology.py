@@ -306,3 +306,12 @@ def test_counts_and_homology_never_list_the_larger_side(monkeypatch):
     assert rep.side == "dual" and cx._faces is None
     assert rep.euler() == cx.reduced_euler()
     assert predicted_betti("cycle:20", 3).matches(cx, rep)
+
+
+@pytest.mark.parametrize("spec, k", [("path:18", 5), ("prism:10", 4)])
+def test_large_dual_matches_the_closed_form(spec, k):
+    # thousands of dual faces: Δ_5(P_18) has 4,062 and H~_12 = Z^2366; Δ_4(prism_10) has H~_14 = Z^84
+    cx = cut_complex(family(spec), k)
+    rep = reduced_homology(cx)
+    assert rep.side == "dual"
+    assert predicted_betti(spec, k).matches(cx, rep)
