@@ -25,8 +25,37 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# _BYTE_BITS[i][b]: the set bit positions of byte value b at byte offset i.
+# It grows to the widest mask seen; each growth replaces the whole tuple, so
+# a concurrent reader sees either table, and both are correct.
+_BYTE_BITS: tuple[tuple[tuple[int, ...], ...], ...] = ()
+
+
+def _byte_bits(count: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The lookup table, grown to at least ``count`` byte offsets."""
+    global _BYTE_BITS
+    rows = _BYTE_BITS
+    if len(rows) < count:
+        rows += tuple(
+            tuple(tuple(8 * i + j for j in range(8) if b >> j & 1) for b in range(256))
+            for i in range(len(rows), count)
+        )
+        _BYTE_BITS = rows
+    return rows
+
+
 def to_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(bits(mask))
+    """The set bit positions of ``mask`` in increasing order, one byte at a time."""
+    rows = _BYTE_BITS
+    if mask.bit_length() > 8 * len(rows):
+        rows = _byte_bits((mask.bit_length() + 7) >> 3)
+    out = ()
+    i = 0
+    while mask:
+        out += rows[i][mask & 255]
+        mask >>= 8
+        i += 1
+    return out
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -229,7 +229,7 @@ def cmd_morse(args) -> int:
         "pairs": len(matching.pairs),
         "critical_census": {str(d): c for d, c in sorted(census.items())},
         "acyclic": acyclic,
-        "matching": matching.to_json_obj(),
+        "matching": matching.to_json_obj(census),
     }
     lines = [
         f"graph: {args.graph}, k={args.k}",
@@ -313,7 +313,7 @@ def _verify_row(spec, k, expect_shellable, budget):
     cx = cut_complex(family(spec), k)
     rep = None if cx.is_void else reduced_homology(cx)
     pred, match = _predict(spec, k, cx, rep)
-    cert = find_shelling(cx, budget=budget)
+    cert = find_shelling(cx, budget=budget, homology=rep)
     row = {"family": spec, "k": k, "predicted": pred.to_json_obj() if pred else None, "shelling": cert.verdict}
     detail = [] if match else ["betti mismatch"]
     if pred:

@@ -6,11 +6,13 @@ empty set, or a complex generated by nonempty facets. Faces are bitmasks over
 the ambient vertex range 0..ambient-1; the vertex set of the complex (the
 union of its facets) may be a proper subset of the ambient range.
 
-Face enumeration is on demand and memoized: cut complexes have few facets but
-exponentially many faces, so nothing below the facet list is stored eagerly.
-Their Alexander duals are small, though, and a complex with fewer dual faces
-than faces takes its f-vector from the dual (combinatorial Alexander duality),
-so the larger side is never enumerated for counts. The lazy caches are
+Cut complexes have few facets but exponentially many faces; their Alexander
+duals are small, though. A complex whose dual has fewer faces memoizes that
+dual and reads its f-vector from it (combinatorial Alexander duality), so
+counts never list the larger side. Faces are listed only when a caller needs
+each one, such as a Morse matching, and are then memoized. With a small dual
+they come from it: a set is a face iff its complement is not a dual face.
+Otherwise the submasks of every facet are walked. The lazy caches are
 write-once and idempotent, so complexes stay safe to share across threads.
 """
 
@@ -123,11 +125,23 @@ class SimplicialComplex:
     # -- faces ------------------------------------------------------------
 
     def face_set(self) -> frozenset:
-        """Every face, the empty face included. Memoized."""
+        """Every face, the empty face included. Memoized.
+
+        With a smaller Alexander dual the faces come from the dual's: m is a
+        face iff ``full ^ m`` is not a dual face. The dual is small only when
+        this complex holds more than half of the 2^n vertex sets, so one pass
+        over all of them costs at most twice the output. Otherwise every
+        submask of every facet is walked."""
         if self._faces is None:
-            out = set()
-            for f in self._facets:
-                out.update(submasks(f))
+            dual = self._small_dual()
+            if dual is None:
+                out = set()
+                for f in self._facets:
+                    out.update(submasks(f))
+            else:
+                full = (1 << self.ambient) - 1
+                out = set(range(full + 1))
+                out.difference_update([full ^ m for m in dual.face_set()])
             self._faces = frozenset(out)
         return self._faces
 

@@ -52,10 +52,14 @@ class MorseMatching:
             census[d] = census.get(d, 0) + 1
         return census
 
-    def to_json_obj(self):
+    def to_json_obj(self, census: dict[int, int] | None = None):
+        """Pairs as vertex lists and the critical census; pass ``census``
+        when it is already known, as ``verify_acyclic_and_critical`` returns it."""
+        if census is None:
+            census = self.critical_census()
         return {
             "pairs": [[list(to_tuple(s)), list(to_tuple(t))] for s, t in self.pairs],
-            "critical_census": {str(d): c for d, c in sorted(self.critical_census().items())},
+            "critical_census": {str(d): c for d, c in sorted(census.items())},
         }
 
 
@@ -67,20 +71,21 @@ def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatch
     for a in order:
         if not 0 <= a < cx.ambient:
             raise ValueError(f"vertex {a} is not in 0..{cx.ambient - 1}")
-    face_set = cx.face_set()
-    faces = sorted(face_set)
-    matched = set()
+    # ``faces`` lists the unmatched faces in increasing order, ``unmatched``
+    # holds the same faces. A pass at ``a`` pairs no face twice (σ lacks a,
+    # σ ∪ {a} has it), so matched faces leave both only after the pass.
+    unmatched = set(cx.face_set())
+    faces = sorted(unmatched)
     pairs = []
     for a in order:
         bit = 1 << a
-        for sigma in faces:
-            if sigma & bit or sigma in matched:
-                continue
-            tau = sigma | bit
-            if tau in face_set and tau not in matched:
-                matched.add(sigma)
-                matched.add(tau)
-                pairs.append((sigma, tau))
+        new = [(sigma, sigma | bit) for sigma in faces if not sigma & bit and sigma | bit in unmatched]
+        if new:
+            pairs += new
+            for sigma, tau in new:
+                unmatched.remove(sigma)
+                unmatched.remove(tau)
+            faces = [sigma for sigma in faces if sigma in unmatched]
     return MorseMatching(cx, tuple(pairs))
 
 
@@ -108,7 +113,16 @@ def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]
     # down next. Every cycle therefore alternates between two adjacent
     # dimensions through faces matched upward, and Kahn's algorithm runs on
     # those faces only: σ -> σ' for each facet σ' != σ of up[σ] with σ' in up.
-    succ = {s: [f for f in (t ^ (1 << v) for v in bits(s)) if f in up] for s, t in up.items()}
+    succ = {}
+    for s, t in up.items():
+        targets = []
+        rest = s
+        while rest:  # each facet t - v of t with v in s, by the lowest set bit of s
+            low = rest & -rest
+            rest ^= low
+            if t ^ low in up:
+                targets.append(t ^ low)
+        succ[s] = targets
     indeg = Counter(f for targets in succ.values() for f in targets)
     queue = [s for s in up if not indeg[s]]
     visited = 0

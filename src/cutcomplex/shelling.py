@@ -35,7 +35,7 @@ from .bitsets import bits, mask_of, to_tuple
 from .complexes import SimplicialComplex
 from .graphs import family
 from .cuts import cut_complex
-from .homology import reduced_homology
+from .homology import HomologyReport, reduced_homology
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -121,24 +121,31 @@ def _blocked(row, prefix: int) -> int:
     return common
 
 
-def _homology_obstruction(cx: SimplicialComplex) -> Obstruction | None:
+def _homology_obstruction(cx: SimplicialComplex, rep: HomologyReport | None = None) -> Obstruction | None:
     """The lowest H̃_i with i < dim that has nonzero rank or torsion, or None.
+    ``rep`` is the homology of ``cx``, computed here when None.
 
     A shellable pure complex is a wedge of top-dimensional spheres, so any
     such group proves ``cx`` not shellable. H̃_dim is always free, being a
     subgroup of the top chain group."""
-    rep = reduced_homology(cx)
+    if rep is None:
+        rep = reduced_homology(cx)
     for i in range(-1, cx.dim):
         if rep.betti(i) or rep.torsion_at(i):
             return Obstruction(i, rep.betti(i), rep.torsion_at(i))
     return None
 
 
-def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> ShellingCertificate:
+def find_shelling(
+    cx: SimplicialComplex, budget: int = DEFAULT_BUDGET, homology: HomologyReport | None = None
+) -> ShellingCertificate:
     """Shell ``cx`` by the ascending facet order if it is one; otherwise
     return ``not_shellable`` with a homology obstruction and 0 nodes if one
     exists (Björner 1995); otherwise search facet prefixes depth first by the
-    restriction-set test, within ``budget`` nodes."""
+    restriction-set test, within ``budget`` nodes.
+
+    ``homology`` is ``reduced_homology(cx)`` when the caller already has it;
+    without it the homology is computed only if the ascending order fails."""
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if cx.is_void:
@@ -156,7 +163,7 @@ def find_shelling(cx: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shelli
     # cheap first attempt: ascending-mask order is often already a shelling
     if not any(_blocked(rows[j], (1 << j) - 1) for j in range(t)):
         return ShellingCertificate("shellable", tuple(to_tuple(f) for f in facets), 0)
-    obstruction = _homology_obstruction(cx)
+    obstruction = _homology_obstruction(cx, homology)
     if obstruction is not None:
         return ShellingCertificate("not_shellable", None, 0, obstruction=obstruction)
     return _search(facets, rows, budget)

@@ -1,0 +1,36 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cutcomplex import bits, family, mask_of, to_tuple
+from cutcomplex import bitsets
+
+
+# byte boundaries, one word and past it, and the 220 vertices of kneser:12,3
+WIDE_MASKS = [
+    0, 1, 0x7F, 0x80, 0xFF, 0x100, 0x1FF, 0xFFFF, 0x10000,
+    (1 << 63) | 1, (1 << 64) - 1, 1 << 64, (1 << 65) | (1 << 8),
+    1 << 200, (1 << 200) - 1, (1 << 219) | (1 << 7), (1 << 220) - 1,
+    mask_of(range(0, 220, 7)),
+]
+
+
+def test_to_tuple_grows_its_table_for_wide_masks(monkeypatch):
+    monkeypatch.setattr(bitsets, "_BYTE_BITS", ())  # start from an empty table
+    for m in WIDE_MASKS + WIDE_MASKS[::-1]:  # widening, then narrowing
+        assert to_tuple(m) == tuple(bits(m))
+    assert len(bitsets._BYTE_BITS) == 28  # 220 bits
+
+
+def test_to_tuple_on_kneser_neighbourhoods():
+    g = family("kneser:12,3")
+    assert g.n == 220
+    assert max(a.bit_length() for a in g.adj) > 200
+    for a in g.adj:
+        assert to_tuple(a) == tuple(bits(a))
+        assert mask_of(to_tuple(a)) == a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 300) - 1))
+def test_to_tuple_matches_bits(m):
+    assert to_tuple(m) == tuple(bits(m))

@@ -216,3 +216,42 @@ def test_negative_budget_exits_2(capsys):
 def test_verify_accepts_only_table1_small(capsys):
     code, out, err = run(capsys, "verify", "table1")
     assert _one_error_line(code, out, err) and "try table1-small" in err
+
+
+def test_morse_on_a_large_primal_lists_faces_from_the_dual(monkeypatch, capsys):
+    import cutcomplex.complexes as complexes
+    from cutcomplex.morse import MorseMatching
+
+    def refuse(mask):
+        raise AssertionError("a facet's submasks were walked")
+
+    census_calls = []
+    census = MorseMatching.critical_census
+    monkeypatch.setattr(complexes, "submasks", refuse)
+    monkeypatch.setattr(MorseMatching, "critical_census", lambda m: census_calls.append(m) or census(m))
+    # Δ_2(P_14) has 2^14 - 28 faces; its dual, the path itself, has 28
+    code, out, _ = run(capsys, "morse", "path:14", "--k", "2", "--order", "tree", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["acyclic"] is True and report["critical_census"] == {}
+    assert report["pairs"] == (2**14 - 28) // 2 == len(report["matching"]["pairs"])
+    assert len(census_calls) == 1  # shared by the census field and the matching record
+
+
+def test_verify_computes_one_homology_per_nonvoid_row(monkeypatch, capsys):
+    import cutcomplex.cli as cli
+    import cutcomplex.shelling as shelling
+
+    calls = []
+    homology = cli.reduced_homology
+
+    def counting(cx):
+        calls.append(cx)
+        return homology(cx)
+
+    monkeypatch.setattr(cli, "reduced_homology", counting)
+    monkeypatch.setattr(shelling, "reduced_homology", counting)
+    code, out, _ = run(capsys, "verify", "table1-small", "--json")
+    rows = json.loads(out)["rows"]
+    nonvoid = sum(not cut_complex(family(row["family"]), row["k"]).is_void for row in rows)
+    assert code == 0 and len(rows) == 32 and nonvoid == 29
+    assert len(calls) == nonvoid == len({id(cx) for cx in calls})

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from unittest import mock
 from math import comb
 
 import pytest
@@ -11,10 +12,12 @@ from cutcomplex import (
     cut_complex,
     family,
     from_facets,
+    from_edge_list,
     full_simplex,
     mask_of,
     to_tuple,
 )
+from cutcomplex.bitsets import submasks
 from cutcomplex.complexes import _normalize
 from conftest import brute_faces
 
@@ -221,8 +224,8 @@ def test_complete_skeleton_dim_matches_brute_force(cx):
 def test_f_vector_from_the_dual_matches_enumeration(cx):
     n = cx.ambient
     enumerated = [0] * (cx.dim + 2)
-    for m in from_facets(cx.facets, ambient=n).face_set():
-        enumerated[m.bit_count()] += 1
+    for f in brute_faces(cx.facet_tuples()):  # face_set() itself may read the dual
+        enumerated[len(f)] += 1
     dual = cx._small_dual()
     # the dual is the chosen side iff it is nonempty and smaller than Δ
     assert (dual is not None) == (0 < 2**n - sum(enumerated) < sum(enumerated))
@@ -242,6 +245,43 @@ def test_f_vector_from_the_dual_matches_enumeration(cx):
 def test_face_enumeration_matches_brute_force(cx):
     mine = {to_tuple(f) for f in cx.face_set()}
     assert mine == brute_faces(cx.facet_tuples())
+
+
+@st.composite
+def random_cut_complexes(draw):
+    """k-cut complexes of random graphs on 4-10 vertices; small k on a
+    sparse graph leaves a small Alexander dual."""
+    n = draw(st.integers(4, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    k = draw(st.integers(2, n - 1))
+    return cut_complex(from_edge_list(n, edges), k)
+
+
+def test_face_set_from_the_dual_matches_brute_force():
+    branches = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(random_cut_complexes(), ambient_complexes()))
+    @side_examples
+    def check(cx):
+        cx = SimplicialComplex(cx.facets, ambient=cx.ambient)  # nothing memoized yet
+        walked = []
+
+        def counting_submasks(mask):
+            walked.append(mask)
+            return submasks(mask)
+
+        with mock.patch("cutcomplex.complexes.submasks", counting_submasks):
+            faces = cx.face_set()
+        dual = cx._small_dual()
+        # the dual is the producer exactly when it is set; no submask is walked then
+        assert walked == ([] if dual is not None else list(cx.facets))
+        assert {to_tuple(f) for f in faces} == brute_faces(cx.facet_tuples())
+        branches.add(dual is not None)
+
+    check()
+    assert branches == {True, False}
 
 
 def test_faces_by_dim_sorted():

@@ -11,6 +11,7 @@ from cutcomplex import (
     cut_complex,
     element_matching_sequence,
     family,
+    from_edge_list,
     from_facets,
     mask_of,
     prism_matching_order,
@@ -20,7 +21,7 @@ from cutcomplex import (
     tree_matching_order,
     verify_acyclic_and_critical,
 )
-from conftest import random_graph, random_tree
+from conftest import brute_faces, random_graph, random_tree
 
 
 def test_cone_apex_first_is_perfect():
@@ -267,3 +268,49 @@ def test_acyclicity_agrees_with_full_hasse_reference():
 
     check()
     assert outcomes == {True, False}
+
+
+def _full_list_matching(cx, order):
+    """Reference: every pass scans the whole ascending face list."""
+    face_set = {mask_of(f) for f in brute_faces(cx.facet_tuples())}
+    faces = sorted(face_set)
+    matched = set()
+    pairs = []
+    for a in order:
+        bit = 1 << a
+        for sigma in faces:
+            if sigma & bit or sigma in matched:
+                continue
+            tau = sigma | bit
+            if tau in face_set and tau not in matched:
+                matched |= {sigma, tau}
+                pairs.append((sigma, tau))
+    return tuple(pairs)
+
+
+@st.composite
+def complexes_with_orders(draw):
+    """A cut complex of a random graph on 3-9 vertices (often with a small
+    Alexander dual) or a random complex, and a vertex order over a random
+    subset of its ambient range."""
+    n = draw(st.integers(3, 9))
+    if draw(st.booleans()):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        cx = cut_complex(from_edge_list(n, edges), draw(st.integers(2, n - 1)))
+    else:
+        facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=6))
+        cx = from_facets([tuple(sorted(f)) for f in facets], ambient=n)
+    order = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return cx, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_with_orders())
+def test_element_matching_equals_the_full_list_loop(case):
+    cx, order = case
+    mm = element_matching_sequence(cx, order)
+    assert mm.pairs == _full_list_matching(cx, order)
+    acyclic, census = verify_acyclic_and_critical(mm)
+    assert acyclic and census == mm.critical_census()
+    assert mm.to_json_obj(census) == mm.to_json_obj()
