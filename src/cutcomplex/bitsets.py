@@ -35,12 +35,12 @@ def _byte_bits(count: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The lookup table, grown to at least ``count`` byte offsets."""
     global _BYTE_BITS
     rows = _BYTE_BITS
-    if len(rows) < count:
-        rows += tuple(
-            tuple(tuple(8 * i + j for j in range(8) if b >> j & 1) for b in range(256))
-            for i in range(len(rows), count)
-        )
-        _BYTE_BITS = rows
+    for i in range(len(rows), count):
+        row = [()]
+        for v in range(8 * i, 8 * i + 8):  # the values with bit v set follow those without
+            row += [t + (v,) for t in row]
+        rows += (tuple(row),)
+    _BYTE_BITS = rows
     return rows
 
 
@@ -50,11 +50,16 @@ def to_tuple(mask: int) -> tuple[int, ...]:
     if mask.bit_length() > 8 * len(rows):
         rows = _byte_bits((mask.bit_length() + 7) >> 3)
     out = ()
-    i = 0
+    i = 0  # the byte offset of the low byte of mask
     while mask:
-        out += rows[i][mask & 255]
-        mask >>= 8
-        i += 1
+        if mask & 255:
+            out += rows[i][mask & 255]
+            mask >>= 8
+            i += 1
+        else:  # skip to the byte holding the lowest set bit
+            skip = ((mask & -mask).bit_length() - 1) >> 3
+            mask >>= skip << 3
+            i += skip
     return out
 
 
