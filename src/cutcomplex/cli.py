@@ -251,11 +251,12 @@ def cmd_realize(args) -> int:
     g, k = realize_as_cut_complex(cx)
     round_trip = cut_complex(g, k) == relabel_densely(cx)
     chordal, _ = is_chordal(g)
+    text = write_graph_text(g)
     report = {
         "n": g.n,
         "k": k,
         "edges": g.edges(),
-        "graph_text": write_graph_text(g),
+        "graph_text": text,
         "round_trip_ok": round_trip,
         "chordal": chordal,
     }
@@ -263,7 +264,7 @@ def cmd_realize(args) -> int:
         f"graph on {g.n} vertices with {g.edge_count} edges; k = {k}",
         f"round trip reproduces the complex: {round_trip}",
         f"graph is chordal: {chordal}",
-        write_graph_text(g).rstrip(),
+        text.rstrip(),
     ]
     _emit(report, args.json, lines)
     return 0 if round_trip else MISMATCH

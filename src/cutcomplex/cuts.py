@@ -24,10 +24,10 @@ from .bitsets import bits, ksubset_masks, mask_of, to_tuple
 from .complexes import SimplicialComplex
 from .graphs import (
     Graph,
+    disconnected_masks,
     family,
     from_edge_list,
     has_triangle,
-    is_connected_subset,
     parse_family,
     shortest_cycle_length,
 )
@@ -42,7 +42,7 @@ def disconnected_ksets(g: Graph, k: int) -> list[int]:
         raise ValueError("k must be >= 1")
     if k == 1 or k > g.n:
         return []
-    return [m for m in ksubset_masks(g.n, k) if not is_connected_subset(g, m)]
+    return disconnected_masks(g, ksubset_masks(g.n, k))
 
 
 def cut_complex(g: Graph, k: int) -> SimplicialComplex:
@@ -60,8 +60,13 @@ def connected_kset_census(g: Graph, k: int, anchor: int | None = None) -> int:
         raise ValueError("census needs 1 <= k <= n")
     if anchor is not None and not (0 <= anchor < g.n):
         raise ValueError("anchor out of range")
-    need = 1 << anchor if anchor is not None else 0
-    return sum(1 for m in ksubset_masks(g.n, k) if m & need == need and is_connected_subset(g, m))
+    masks = ksubset_masks(g.n, k)
+    total = comb(g.n, k)
+    if anchor is not None:
+        need = 1 << anchor
+        masks = (m for m in masks if m & need)
+        total = comb(g.n - 1, k - 1)
+    return total - len(disconnected_masks(g, masks))
 
 
 def facets_via_ridges(cx: SimplicialComplex, k: int) -> list[int]:

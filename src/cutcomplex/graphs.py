@@ -4,12 +4,22 @@ Adjacency is stored as one bitmask per vertex. Graphs are immutable after
 construction; every operation returns a new graph. Vertex labels are display
 strings only (the prism generator labels vertices ``1⁺``, ``1⁻``, ...); all
 algorithms work on the integer indices.
+
+Induced connectivity floods a vertex set through a per-byte neighbourhood
+table, ``Graph.reach``: ``reach[i][b]`` is the union of the closed
+neighbourhoods of the vertices in byte value ``b`` at byte offset ``i``, so
+one flood step costs one lookup per byte of the set reached so far instead
+of one per vertex. The table is built once per graph, by doubling, and
+``disconnected_masks`` runs the flood over a whole sweep of masks in one
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import Iterable
 
 from .bitsets import bits, mask_of, to_tuple
 
@@ -43,6 +53,20 @@ class Graph:
         if self.labels is not None:
             return self.labels[v]
         return str(v + 1)
+
+    @cached_property
+    def reach(self) -> tuple[tuple[int, ...], ...]:
+        """``reach[i][b]``: the union of the closed neighbourhoods of the
+        vertices in byte value ``b`` at byte offset ``i``. The last row is
+        shorter when n is not a multiple of 8."""
+        rows = []
+        for i in range((self.n + 7) >> 3):
+            row = [0]
+            for v in range(8 * i, min(8 * i + 8, self.n)):  # the values with bit v set follow those without
+                closed = self.adj[v] | 1 << v
+                row += [r | closed for r in row]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -346,18 +370,30 @@ def is_connected_subset(g: Graph, S) -> bool:
     m = _as_mask(g, S)
     if m == 0:
         raise ValueError("connectivity of the empty set is undefined")
-    seen = m & -m
-    frontier = seen
-    while frontier:
-        grow = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            grow |= g.adj[low.bit_length() - 1]
-            rest ^= low
-        frontier = grow & m & ~seen
-        seen |= frontier
-    return seen == m
+    return not disconnected_masks(g, (m,))
+
+
+def disconnected_masks(g: Graph, masks: Iterable[int]) -> list[int]:
+    """The masks among ``masks`` whose induced subgraphs are disconnected, in
+    the order given. Each mask must be a nonempty subset of g's vertices."""
+    reach = g.reach
+    out = []
+    for m in masks:
+        seen = m & -m
+        while seen != m:  # flood from the lowest vertex until m is reached or nothing grows
+            grow = 0
+            s = seen
+            for row in reach:
+                grow |= row[s & 255]
+                s >>= 8
+                if not s:
+                    break
+            grow &= m
+            if grow == seen:
+                out.append(m)
+                break
+            seen = grow
+    return out
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:

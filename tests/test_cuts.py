@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
@@ -26,9 +26,10 @@ from cutcomplex import (
     skeleton_condition_euler,
     to_tuple,
     triangle_free_delta2_betti,
+    ksubset_masks,
     wedge_anchor_count,
 )
-from conftest import RP2_FACETS, random_forest, random_graph
+from conftest import RP2_FACETS, brute_connected, random_forest, random_graph
 
 FIG2 = from_edge_list(5, [(0, 2), (0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
 
@@ -116,6 +117,43 @@ def test_wedge_census_decomposition():
         z2 = connected_kset_census(p4, k) if k <= 4 else 0
         mixed = wedge_anchor_count(c5, 0, p4, 0, k, min_size=2)
         assert z == z1 + z2 + mixed
+
+
+def _brute_disconnected(g, k):
+    return [m for m in ksubset_masks(g.n, k)
+            if not brute_connected(g, [v for v in range(g.n) if m >> v & 1])]
+
+
+# n = 9, 16 and 17 put vertices in a second or third byte of the mask; k is
+# kept where C(n, k) <= 1000 so the brute force stays fast
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 17), st.floats(0.1, 0.9), st.integers(0, 10_000), st.integers(0, 100), st.integers(0, 100))
+@example(8, 0.3, 1, 3, 5)
+@example(9, 0.3, 2, 4, 8)
+@example(16, 0.2, 3, 2, 11)
+@example(17, 0.15, 4, 3, 16)
+@example(17, 0.5, 5, 4, 0)
+def test_kset_sweeps_match_brute_force(n, p, seed, kpick, anchor):
+    g = random_graph(random.Random(seed), n, p)
+    ks = [k for k in range(1, n + 1) if comb(n, k) <= 1000]
+    k = ks[kpick % len(ks)]
+    anchor %= n
+    brute = _brute_disconnected(g, k)
+    assert disconnected_ksets(g, k) == brute
+    assert connected_kset_census(g, k) == comb(n, k) - len(brute)
+    assert connected_kset_census(g, k, anchor) == comb(n - 1, k - 1) - sum(m >> anchor & 1 for m in brute)
+
+
+def test_realized_graphs_past_two_bytes_round_trip():
+    cone = from_facets([f + (6,) for f in RP2_FACETS])
+    g, k = realize_as_cut_complex(cone)
+    assert (g.n, k) == (17, 13)
+    assert disconnected_ksets(g, k) == _brute_disconnected(g, k)
+    assert cut_complex(g, k) == cone
+    suspension = from_facets([f + (v,) for f in RP2_FACETS for v in (6, 7)])
+    g, k = realize_as_cut_complex(suspension)
+    assert (g.n, k) == (28, 24)
+    assert cut_complex(g, k) == suspension
 
 
 def test_facets_via_ridges_matches_direct():

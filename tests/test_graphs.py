@@ -197,12 +197,16 @@ def test_girth_matches_brute_force(n, p, seed):
     assert shortest_cycle_length(g) == brute_girth(g)
 
 
+# n up to 20 puts vertices in the second and third bytes of a mask
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 7), st.floats(0.1, 0.9), st.integers(0, 10_000), st.data())
+@given(st.integers(2, 20), st.floats(0.1, 0.9), st.integers(0, 10_000), st.data())
 def test_subset_connectivity_matches_brute_force(n, p, seed, data):
     g = random_graph(random.Random(seed), n, p)
     subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     assert is_connected_subset(g, subset) == brute_connected(g, subset)
+    rest = set(range(n)) - subset  # a large set when hypothesis draws a small one
+    if rest:
+        assert is_connected_subset(g, rest) == brute_connected(g, rest)
 
 
 def test_text_format_round_trip():
