@@ -27,7 +27,6 @@ from .graphs import (
     FamilySpecError,
     Graph,
     cartesian_product,
-    combine,
     disjoint_union,
     family,
     from_edge_list,

@@ -17,13 +17,12 @@ import sys
 from math import comb
 
 from .bitsets import to_tuple
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, relabel_densely
 from .cuts import (
     NotCoveredError,
     cut_complex,
     predicted_betti,
     realize_as_cut_complex,
-    relabel_densely,
     skeleton_condition_euler,
 )
 from .graphs import (
@@ -229,8 +228,9 @@ def cmd_morse(args) -> int:
         "pairs": len(matching.pairs),
         "critical_census": {str(d): c for d, c in sorted(census.items())},
         "acyclic": acyclic,
-        "matching": matching.to_json_obj(census),
     }
+    if args.json:  # the pair list is only printed in the JSON record
+        report["matching"] = matching.to_json_obj(census)
     lines = [
         f"graph: {args.graph}, k={args.k}",
         f"pairs: {len(matching.pairs)}",

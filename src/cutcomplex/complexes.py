@@ -9,15 +9,19 @@ union of its facets) may be a proper subset of the ambient range.
 Cut complexes have few facets but exponentially many faces; their Alexander
 duals are small, though. A complex whose dual has fewer faces memoizes that
 dual and reads its f-vector from it (combinatorial Alexander duality), so
-counts never list the larger side. Faces are listed only when a caller needs
-each one, such as a Morse matching, and are then memoized. With a small dual
-they come from it: a set is a face iff its complement is not a dual face.
-Otherwise the submasks of every facet are walked. The lazy caches are
-write-once and idempotent, so complexes stay safe to share across threads.
+counts never list the larger side. Counts and homology are taken over the
+complex's own vertices (``relabel_densely``): over an ambient vertex in no
+facet the dual could never be the smaller side. Faces are listed only when a
+caller needs each one, such as a Morse matching, and are then memoized. With
+a small dual they come from it: a set is a face iff its complement is not a
+dual face. Otherwise the submasks of every facet are walked. The lazy caches
+are write-once and idempotent, so complexes stay safe to share across
+threads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -46,7 +50,7 @@ def _normalize(face_masks):
 
 
 class SimplicialComplex:
-    __slots__ = ("_facets", "ambient", "_faces", "_fvec", "_dual")
+    __slots__ = ("_facets", "ambient", "_faces", "_fvec", "_dual", "_dense")
 
     def __init__(self, faces, ambient: int | None = None):
         """Build the complex generated by ``faces`` (bitmasks or vertex
@@ -68,6 +72,7 @@ class SimplicialComplex:
         self._faces = None
         self._fvec = None
         self._dual = _UNDECIDED
+        self._dense = None
 
     @classmethod
     def _from_faces(cls, faces: set, ambient: int) -> SimplicialComplex:
@@ -82,6 +87,7 @@ class SimplicialComplex:
         cx._faces = frozenset(faces)
         cx._fvec = None
         cx._dual = _UNDECIDED
+        cx._dense = None
         return cx
 
     # -- state ------------------------------------------------------------
@@ -166,9 +172,13 @@ class SimplicialComplex:
         With a smaller Alexander dual the counts come from the dual's faces:
         a set of size s is a face iff its complement is not a dual face, so
         f_{s-1}(Δ) = C(n, s) - #{dual faces of size n - s} (Björner and
-        Tancer, DCG 2009). Otherwise the faces are counted directly."""
+        Tancer, DCG 2009). Otherwise the faces are counted directly. With an
+        ambient vertex in no facet the counts come from ``relabel_densely``."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
+        dense = relabel_densely(self)
+        if dense is not self:
+            return dense.f_vector()
         if self._fvec is None:
             size = self.dim + 2
             dual = self._small_dual()
@@ -304,13 +314,16 @@ class SimplicialComplex:
         at least one, else None. Memoized; no face of this complex is listed.
 
         |Δ| + |Δ^∨| = 2^n, so the dual is the smaller side iff it has fewer
-        than 2^(n-1) faces. The sum of 2^|F| over the facets bounds |Δ| from
-        above; when it is at most 2^(n-1) the dual cannot be smaller and no
-        walk runs. Otherwise the dual walk stops past 2^(n-1) - 1 faces."""
+        than 2^(n-1) faces. Δ has at most min(C(n, s), Σ_F C(|F|, s)) faces
+        of size s; when these bounds sum to at most 2^(n-1) the dual cannot
+        be smaller and no walk runs. Otherwise the dual walk stops past
+        2^(n-1) - 1 faces."""
         if self._dual is _UNDECIDED:
             n = self.ambient
             dual = None
-            if sum(1 << f.bit_count() for f in self._facets) << 1 > 1 << n:
+            sizes = Counter(f.bit_count() for f in self._facets)
+            bound = sum(min(comb(n, s), sum(c * comb(m, s) for m, c in sizes.items())) for s in range(n + 1))
+            if bound << 1 > 1 << n:
                 dual = self._dual_within(((1 << n) - 1) >> 1)
                 if dual is not None and dual.is_void:  # the full simplex
                     dual = None
@@ -353,10 +366,13 @@ class SimplicialComplex:
         if not (
             type(ambient) is int
             and isinstance(facets, list)
-            and all(isinstance(f, list) and all(type(v) is int and v >= 0 for v in f) for f in facets)
+            and all(
+                isinstance(f, list) and all(type(v) is int and v >= 0 for v in f) and len(set(f)) == len(f)
+                for f in facets
+            )
         ):
             raise ValueError(
-                'complex JSON needs "facets" (lists of vertex indices >= 0) and an integer "ambient"'
+                'complex JSON needs "facets" (lists of distinct vertex indices >= 0) and an integer "ambient"'
             )
         return SimplicialComplex(facets, ambient=ambient)
 
@@ -372,6 +388,20 @@ class SimplicialComplex:
         if self.is_void:
             return "SimplicialComplex(void)"
         return f"SimplicialComplex({len(self._facets)} facets, dim {self.dim})"
+
+
+def relabel_densely(cx: SimplicialComplex) -> SimplicialComplex:
+    """``cx`` with its vertices renamed 0..nv-1 in increasing order, over an
+    ambient set of exactly those nv vertices; ``cx`` itself when every
+    ambient vertex is in a facet. Memoized on ``cx``."""
+    if cx._dense is None:
+        verts = cx.vertices()
+        if len(verts) == cx.ambient:
+            cx._dense = cx
+        else:
+            pos = {v: i for i, v in enumerate(verts)}
+            cx._dense = SimplicialComplex([mask_of(pos[v] for v in to_tuple(f)) for f in cx._facets])
+    return cx._dense
 
 
 def from_facets(faces, ambient: int | None = None) -> SimplicialComplex:

@@ -16,12 +16,13 @@ tested against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitsets import bits, ksubset_masks, mask_of, to_tuple
-from .complexes import SimplicialComplex
+from .bitsets import bits, ksubset_masks
+from .complexes import SimplicialComplex, relabel_densely
 from .graphs import (
     Graph,
     disconnected_masks,
@@ -71,16 +72,15 @@ def connected_kset_census(g: Graph, k: int, anchor: int | None = None) -> int:
 
 def facets_via_ridges(cx: SimplicialComplex, k: int) -> list[int]:
     """Ridges of a k-cut complex lying in at least k facets; these are exactly
-    the facets of the (k+1)-cut complex of the same graph."""
+    the facets of the (k+1)-cut complex of the same graph. The complex is
+    pure, so a ridge lies in one facet per way of deleting a vertex of a
+    facet to reach it, and one counting pass over those deletions suffices."""
     if k < 2:
         raise ValueError("ridge recursion needs k >= 2")
     if cx.is_void or cx.is_empty_complex:
         return []
-    facets = cx.facets
-    ridges = {f & ~(1 << v) for f in facets for v in bits(f)}
-    out = [r for r in ridges if sum(r & ~f == 0 for f in facets) >= k]
-    out.sort()
-    return out
+    counts = Counter(f & ~(1 << v) for f in cx.facets for v in bits(f))
+    return sorted(r for r, c in counts.items() if c >= k)
 
 
 def no_short_cycle_guarantee(g: Graph, k: int) -> bool:
@@ -124,12 +124,6 @@ def skeleton_condition_euler(g: Graph, cx: SimplicialComplex) -> tuple[bool, int
 
 # ---------------------------------------------------------------------------
 # universal realization
-
-
-def relabel_densely(cx: SimplicialComplex) -> SimplicialComplex:
-    """``cx`` with its vertices renamed 0..nv-1 in increasing order."""
-    pos = {v: i for i, v in enumerate(cx.vertices())}
-    return SimplicialComplex([mask_of(pos[v] for v in to_tuple(f)) for f in cx.facets])
 
 
 def realize_as_cut_complex(cx: SimplicialComplex) -> tuple[Graph, int]:

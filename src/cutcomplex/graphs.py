@@ -3,7 +3,10 @@
 Adjacency is stored as one bitmask per vertex. Graphs are immutable after
 construction; every operation returns a new graph. Vertex labels are display
 strings only (the prism generator labels vertices ``1⁺``, ``1⁻``, ...); all
-algorithms work on the integer indices.
+algorithms work on the integer indices. The composite families are built from
+the graph operations: complete multipartite graphs and stars as joins of
+edgeless graphs, the prism as K_n x K_2, threshold graphs by joining or
+adding a disjoint K_1 per step.
 
 Induced connectivity floods a vertex set through a per-byte neighbourhood
 table, ``Graph.reach``: ``reach[i][b]`` is the union of the closed
@@ -16,8 +19,8 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable
 
@@ -123,32 +126,21 @@ def _edgeless(n):
 def _complete_multipartite(*parts):
     if not parts or any(p < 1 for p in parts):
         raise FamilySpecError("multipartite parts must be positive")
-    n = sum(parts)
-    block = []
-    for i, p in enumerate(parts):
-        block.extend([i] * p)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if block[u] != block[v]]
-    return from_edge_list(n, edges)
+    return reduce(graph_join, map(_edgeless, parts))
 
 
 def _star(m):
     if m < 1:
         raise FamilySpecError("star needs m >= 1")
-    return from_edge_list(m + 1, [(0, i) for i in range(1, m + 1)])
+    return _complete_multipartite(1, m)
 
 
 def _prism(n):
     """K_n x K_2: vertices i (labelled (i+1)⁺) and n+i (labelled (i+1)⁻)."""
     if n < 2:
         raise FamilySpecError("prism needs n >= 2")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j))
-            edges.append((n + i, n + j))
-        edges.append((i, n + i))
-    labels = [f"{i + 1}⁺" for i in range(n)] + [f"{i + 1}⁻" for i in range(n)]
-    return from_edge_list(2 * n, edges, labels)
+    labels = tuple(f"{i + 1}{s}" for s in "⁺⁻" for i in range(n))
+    return replace(cartesian_product(_complete(n), _complete(2)), labels=labels)
 
 
 def _squared_cycle(n):
@@ -172,16 +164,12 @@ def _kneser(m, r):
 
 
 def _threshold(pattern):
-    """Single vertex, then one vertex per character: '1' dominating, '0' isolated."""
+    """Single vertex, then one vertex per character: '1' dominating (a join
+    with K_1), '0' isolated (a disjoint union with K_1)."""
     if any(c not in "01" for c in pattern):
         raise FamilySpecError("threshold pattern must be a string over {0,1}")
-    n = 1 + len(pattern)
-    edges = []
-    for i, c in enumerate(pattern):
-        v = i + 1
-        if c == "1":
-            edges.extend((u, v) for u in range(v))
-    return from_edge_list(n, edges)
+    k1 = _edgeless(1)
+    return reduce(lambda g, c: (graph_join if c == "1" else disjoint_union)(g, k1), pattern, k1)
 
 
 def _tree_from_edges(arg):
@@ -310,14 +298,7 @@ def wedge(g1: Graph, g2: Graph, v1: int, v2: int) -> Graph:
     """Identify vertex v1 of g1 with vertex v2 of g2; n1 + n2 - 1 vertices."""
     if not (0 <= v1 < g1.n and 0 <= v2 < g2.n):
         raise ValueError("wedge vertex out of range")
-    remap = {}
-    nxt = g1.n
-    for v in range(g2.n):
-        if v == v2:
-            remap[v] = v1
-        else:
-            remap[v] = nxt
-            nxt += 1
+    remap = [v1 if v == v2 else g1.n + v - (v > v2) for v in range(g2.n)]  # the rest of g2 follows g1 in order
     edges = g1.edges() + [(remap[u], remap[v]) for u, v in g2.edges()]
     return from_edge_list(g1.n + g2.n - 1, edges)
 
@@ -332,20 +313,6 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     for a, b in g2.edges():
         edges += [(u + a * n1, u + b * n1) for u in range(n1)]
     return from_edge_list(n1 * n2, edges)
-
-
-def combine(op: str, g1: Graph, g2: Graph, v1: int | None = None, v2: int | None = None) -> Graph:
-    if op == "union":
-        return disjoint_union(g1, g2)
-    if op == "join":
-        return graph_join(g1, g2)
-    if op == "wedge":
-        if v1 is None or v2 is None:
-            raise ValueError("wedge requires the two vertices to identify")
-        return wedge(g1, g2, v1, v2)
-    if op == "cartesian":
-        return cartesian_product(g1, g2)
-    raise ValueError(f"unknown combine op {op!r}")
 
 
 def _as_mask(g: Graph, S) -> int:

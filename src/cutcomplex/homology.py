@@ -8,8 +8,9 @@ coefficients are the diagonal entries greater than one.
 Everything is exact: the Smith reduction works on sparse rows of unbounded
 Python ints, pivoting on the first unit entry. Boundary matrices and Smith
 reduction run on whichever side of Alexander duality has fewer faces; for
-cut complexes that is usually the dual. The side comes from the complex's
-memoized small dual, decided without listing a face of the larger side.
+cut complexes that is usually the dual. The side comes from the memoized
+small dual of the complex relabelled onto its own vertices, decided without
+listing a face of the larger side.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .bitsets import to_tuple
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, relabel_densely
 
 
 @dataclass(frozen=True)
@@ -236,10 +237,13 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     The dual has exactly 2^n - |Δ| faces. It is used when it has fewer faces
     than Δ, which the capped dual walk behind the complex's small-dual memo
     decides without listing a primal face; that same dual is then reused.
-    Ties and the full simplex, whose dual is void, stay primal.
+    Ties and the full simplex, whose dual is void, stay primal. Duality is
+    taken over the complex's own vertices (``relabel_densely``), since over
+    an ambient vertex in no facet the dual is never the smaller side.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
+    cx = relabel_densely(cx)
     dual = cx._small_dual()
     if dual is not None:
         return HomologyReport(*_dual_groups(cx, dual), side="dual")

@@ -180,6 +180,15 @@ def test_realize_rejects_json_booleans(tmp_path, capsys):
         assert err.startswith("error: ") and "an integer \"ambient\"" in err and err.count("\n") == 1
 
 
+def test_realize_rejects_repeated_vertices(tmp_path, capsys):
+    # [0, 0, 1] must not pass as the facet {0, 1}
+    path = tmp_path / "repeat.json"
+    path.write_text('{"facets": [[0, 0, 1]], "ambient": 3}')
+    code, out, err = run(capsys, "realize", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "distinct vertex indices" in err and err.count("\n") == 1
+
+
 def test_graph_file_named_like_a_family_gets_no_prediction(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "path:3").write_text(write_graph_text(family("edgeless:3")))

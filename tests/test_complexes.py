@@ -18,7 +18,8 @@ from cutcomplex import (
     to_tuple,
 )
 from cutcomplex.bitsets import submasks
-from cutcomplex.complexes import _normalize
+from cutcomplex.complexes import _normalize, relabel_densely
+from cutcomplex.homology import HomologyReport, _primal_groups, reduced_homology
 from conftest import brute_faces
 
 NEG_INF = float("-inf")
@@ -185,7 +186,8 @@ SIDE_EXAMPLES = [
     from_facets([()], ambient=3),
     full_simplex(5),
     from_facets([(0, 1)], ambient=5),  # Σ 2^|F| <= 2^(n-1): decided without a walk
-    from_facets([(0, 1, 2), (2, 3, 4), (0, 4)]),  # the walk overflows: |Δ| = 15 < 16
+    from_facets([(0, 1, 2), (2, 3, 4), (0, 4)]),  # per-size bound 15 = |Δ| < 16: decided without a walk
+    from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 3), (4,)]),  # bound 18 > 16, so the walk runs and overflows: |Δ| = 15
     cut_complex(family("cycle:5"), 2),  # the dual has 11 faces, |Δ| = 21
     from_facets([(0, 1, 2, 3, 4, 5, 6, 7)], ambient=9),  # a vertex in no facet
 ]
@@ -238,6 +240,21 @@ def test_f_vector_from_the_dual_matches_enumeration(cx):
             co[m.bit_count()] += 1
         # every set larger than a facet is a non-face, so its complement is a dual face
         assert all(comb(n, s) == co[n - s] for s in range(cx.dim + 2, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_complexes())
+@side_examples
+def test_counts_and_homology_match_the_relabelled_complex(cx):
+    # both are taken over the complex's own vertices, so a vertex in no facet changes neither
+    verts = cx.vertices()
+    pos = {v: i for i, v in enumerate(verts)}
+    dense = relabel_densely(cx)
+    assert dense == from_facets([[pos[v] for v in f] for f in cx.facet_tuples()])
+    assert dense.ambient == len(verts) and (dense is cx) == (len(verts) == cx.ambient)
+    fresh = SimplicialComplex(dense.facets)  # nothing memoized yet
+    assert cx.f_vector() == fresh.f_vector()
+    assert reduced_homology(cx) == reduced_homology(fresh) == HomologyReport(*_primal_groups(cx))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from cutcomplex import (
     FAMILIES,
     FamilySpecError,
     cartesian_product,
-    combine,
+    disjoint_union,
     family,
     from_edge_list,
     graph_join,
@@ -126,16 +127,66 @@ def test_wedge_of_edges_is_path():
     assert g.adj == family("path:3").adj
 
 
-def test_combine_counts():
+def test_union_and_wedge_counts():
     g1, g2 = family("cycle:4"), family("path:3")
-    u = combine("union", g1, g2)
+    u = disjoint_union(g1, g2)
     assert u.n == 7 and u.edge_count == g1.edge_count + g2.edge_count
-    w = combine("wedge", g1, g2, 0, 0)
+    w = wedge(g1, g2, 0, 0)
     assert w.n == 6
     with pytest.raises(ValueError):
-        combine("wedge", g1, g2)
-    with pytest.raises(ValueError):
         wedge(g1, g2, 9, 0)
+
+
+# The composite families are built from the graph operations; each must equal
+# its definition written out as an edge list.
+
+
+def _multipartite_edges(parts):
+    block = [i for i, p in enumerate(parts) for _ in range(p)]
+    return len(block), {(u, v) for u, v in combinations(range(len(block)), 2) if block[u] != block[v]}, None
+
+
+def _star_edges(m):
+    return m + 1, {(0, i) for i in range(1, m + 1)}, None
+
+
+def _prism_edges(n):
+    edges = {(i, j) for i, j in combinations(range(n), 2)}
+    edges |= {(n + i, n + j) for i, j in combinations(range(n), 2)}
+    edges |= {(i, n + i) for i in range(n)}
+    labels = tuple(f"{i}⁺" for i in range(1, n + 1)) + tuple(f"{i}⁻" for i in range(1, n + 1))
+    return 2 * n, edges, labels
+
+
+def _threshold_edges(pattern):
+    edges = {(u, v) for v, c in enumerate(pattern, start=1) if c == "1" for u in range(v)}
+    return len(pattern) + 1, edges, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
+        lambda parts: ("complete_multipartite:" + ",".join(map(str, parts)), _multipartite_edges(parts))),
+    st.integers(1, 10).map(lambda m: (f"star:{m}", _star_edges(m))),
+    st.integers(2, 9).map(lambda n: (f"prism:{n}", _prism_edges(n))),
+    st.text("01", max_size=10).map(lambda p: (f"threshold:{p}", _threshold_edges(p))),
+))
+def test_composite_families_match_their_edge_lists(case):
+    spec, (n, edges, labels) = case
+    g = family(spec)
+    assert (g.n, set(g.edges()), g.labels) == (n, edges, labels)
+    assert g.edge_count == len(edges)
+
+
+def test_composite_family_errors():
+    for spec, message in [
+        ("complete_multipartite:2,0", "multipartite parts must be positive"),
+        ("star:0", "star needs m >= 1"),
+        ("prism:1", "prism needs n >= 2"),
+        ("threshold:102", "threshold pattern must be a string over {0,1}"),
+    ]:
+        with pytest.raises(FamilySpecError, match=re.escape(message)):
+            family(spec)
 
 
 def test_induced_subgraph_examples():
