@@ -26,40 +26,46 @@ def bits(mask: int) -> Iterator[int]:
 
 
 # _BYTE_BITS[i][b]: the set bit positions of byte value b at byte offset i.
-# It grows to the widest mask seen; each growth replaces the whole tuple, so
-# a concurrent reader sees either table, and both are correct.
+# Only the byte offsets that have held a set bit get a row; the others hold
+# (), so a lookup there raises IndexError and the row is built then. Each
+# growth replaces the whole tuple, so a concurrent reader sees either table,
+# and both are correct.
 _BYTE_BITS: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
 
-def _byte_bits(count: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The lookup table, grown to at least ``count`` byte offsets."""
+def _add_rows(mask: int) -> None:
+    """Give every byte offset that holds a set bit of ``mask`` its row."""
     global _BYTE_BITS
-    rows = _BYTE_BITS
-    for i in range(len(rows), count):
-        row = [()]
-        for v in range(8 * i, 8 * i + 8):  # the values with bit v set follow those without
-            row += [t + (v,) for t in row]
-        rows += (tuple(row),)
-    _BYTE_BITS = rows
-    return rows
+    rows = list(_BYTE_BITS)
+    rows += [()] * (((mask.bit_length() + 7) >> 3) - len(rows))
+    for i in {v >> 3 for v in bits(mask)}:
+        if not rows[i]:
+            row = [()]
+            for v in range(8 * i, 8 * i + 8):  # the values with bit v set follow those without
+                row += [t + (v,) for t in row]
+            rows[i] = tuple(row)
+    _BYTE_BITS = tuple(rows)
 
 
 def to_tuple(mask: int) -> tuple[int, ...]:
     """The set bit positions of ``mask`` in increasing order, one byte at a time."""
     rows = _BYTE_BITS
-    if mask.bit_length() > 8 * len(rows):
-        rows = _byte_bits((mask.bit_length() + 7) >> 3)
     out = ()
-    i = 0  # the byte offset of the low byte of mask
-    while mask:
-        if mask & 255:
-            out += rows[i][mask & 255]
-            mask >>= 8
-            i += 1
-        else:  # skip to the byte holding the lowest set bit
-            skip = ((mask & -mask).bit_length() - 1) >> 3
-            mask >>= skip << 3
-            i += skip
+    rest = mask
+    i = 0  # the byte offset of the low byte of rest
+    try:
+        while rest:
+            if rest & 255:
+                out += rows[i][rest & 255]
+                rest >>= 8
+                i += 1
+            else:  # skip to the byte holding the lowest set bit
+                skip = ((rest & -rest).bit_length() - 1) >> 3
+                rest >>= skip << 3
+                i += skip
+    except IndexError:  # a byte offset without its row yet
+        _add_rows(mask)
+        return to_tuple(mask)
     return out
 
 

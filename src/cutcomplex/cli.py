@@ -246,7 +246,7 @@ def cmd_realize(args) -> int:
         with open(args.complex) as fh:
             obj = json.load(fh)
         cx = SimplicialComplex.from_json_obj(obj)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # RecursionError: nesting too deep to decode
         raise CliError(f"cannot read complex JSON: {e}") from None
     g, k = realize_as_cut_complex(cx)
     round_trip = cut_complex(g, k) == relabel_densely(cx)

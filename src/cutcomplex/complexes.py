@@ -3,27 +3,29 @@
 A complex is explicitly one of three things: the void complex (no faces at
 all, dimension -inf), the (-1)-dimensional complex whose only face is the
 empty set, or a complex generated by nonempty facets. Faces are bitmasks over
-the ambient vertex range 0..ambient-1; the vertex set of the complex (the
-union of its facets) may be a proper subset of the ambient range.
+the ambient vertex range 0..ambient-1; the support of the complex (the union
+of its facets, its vertex set) may be a proper subset of the ambient range.
 
 Cut complexes have few facets but exponentially many faces; their Alexander
 duals are small, though. A complex whose dual has fewer faces memoizes that
 dual and reads its f-vector from it (combinatorial Alexander duality), so
-counts never list the larger side. Counts and homology are taken over the
-complex's own vertices (``relabel_densely``): over an ambient vertex in no
-facet the dual could never be the smaller side. Faces are listed only when a
-caller needs each one, such as a Morse matching, and are then memoized. With
-a small dual they come from it: a set is a face iff its complement is not a
-dual face. Otherwise the submasks of every facet are walked. The lazy caches
-are write-once and idempotent, so complexes stay safe to share across
-threads.
+counts never list the larger side. That dual is taken over the support, since
+over an ambient vertex in no facet it could never be the smaller side; only
+the public ``alexander_dual()`` is taken over the ambient set. Faces are
+listed only when a caller needs each one, such as a Morse matching, and are
+then memoized. With a small dual they come from it: a subset of the support
+is a face iff its complement in the support is not a dual face. Otherwise the
+submasks of every facet are walked. The lazy caches are write-once and
+idempotent, so complexes stay safe to share across threads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .bitsets import bits, mask_of, submasks, to_tuple
 
@@ -50,7 +52,7 @@ def _normalize(face_masks):
 
 
 class SimplicialComplex:
-    __slots__ = ("_facets", "ambient", "_faces", "_fvec", "_dual", "_dense")
+    __slots__ = ("_facets", "ambient", "_support", "_faces", "_fvec", "_dual")
 
     def __init__(self, faces, ambient: int | None = None):
         """Build the complex generated by ``faces`` (bitmasks or vertex
@@ -60,10 +62,8 @@ class SimplicialComplex:
         if any(m < 0 for m in masks):
             raise ValueError("faces must be nonnegative bitmasks")
         self._facets = _normalize(masks)
-        used = 0
-        for m in self._facets:
-            used |= m
-        top = used.bit_length()
+        self._support = reduce(or_, self._facets, 0)
+        top = self._support.bit_length()
         if ambient is None:
             ambient = top
         elif ambient < top:
@@ -72,22 +72,21 @@ class SimplicialComplex:
         self._faces = None
         self._fvec = None
         self._dual = _UNDECIDED
-        self._dense = None
 
     @classmethod
     def _from_faces(cls, faces: set, ambient: int) -> SimplicialComplex:
         """Complex with a known, downward-closed face set: the facets are the
         faces with no one-vertex extension, so no normalization is needed."""
         cx = cls.__new__(cls)
+        cx._support = reduce(or_, faces, 0)
         cx._facets = tuple(sorted(
             m for m in faces
-            if not any((m | 1 << v) in faces for v in range(ambient) if not (m >> v) & 1)
+            if not any((m | 1 << v) in faces for v in range(cx._support.bit_length()) if not (m >> v) & 1)
         ))
         cx.ambient = ambient
         cx._faces = frozenset(faces)
         cx._fvec = None
         cx._dual = _UNDECIDED
-        cx._dense = None
         return cx
 
     # -- state ------------------------------------------------------------
@@ -123,21 +122,19 @@ class SimplicialComplex:
         return len(sizes) == 1
 
     def vertices(self) -> tuple[int, ...]:
-        used = 0
-        for f in self._facets:
-            used |= f
-        return to_tuple(used)
+        return to_tuple(self._support)
 
     # -- faces ------------------------------------------------------------
 
     def face_set(self) -> frozenset:
         """Every face, the empty face included. Memoized.
 
-        With a smaller Alexander dual the faces come from the dual's: m is a
-        face iff ``full ^ m`` is not a dual face. The dual is small only when
-        this complex holds more than half of the 2^n vertex sets, so one pass
-        over all of them costs at most twice the output. Otherwise every
-        submask of every facet is walked."""
+        With a smaller Alexander dual the faces come from the dual's: a subset
+        m of the support is a face iff ``support ^ m`` is not a dual face. The
+        dual is small only when this complex holds more than half of the 2^n
+        subsets of its n-vertex support, so one pass over all of them costs
+        at most twice the output. Otherwise every submask of every facet is
+        walked."""
         if self._faces is None:
             dual = self._small_dual()
             if dual is None:
@@ -145,9 +142,14 @@ class SimplicialComplex:
                 for f in self._facets:
                     out.update(submasks(f))
             else:
-                full = (1 << self.ambient) - 1
-                out = set(range(full + 1))
-                out.difference_update([full ^ m for m in dual.face_set()])
+                support = self._support
+                subsets = range(support + 1)  # when the support is 0..n-1
+                if support & (support + 1):
+                    subsets = [0]
+                    for v in bits(support):  # the subsets with v follow those without
+                        subsets += [m | 1 << v for m in subsets]
+                out = set(subsets)
+                out.difference_update([support ^ m for m in dual.face_set()])
             self._faces = frozenset(out)
         return self._faces
 
@@ -171,14 +173,11 @@ class SimplicialComplex:
 
         With a smaller Alexander dual the counts come from the dual's faces:
         a set of size s is a face iff its complement is not a dual face, so
-        f_{s-1}(Δ) = C(n, s) - #{dual faces of size n - s} (Björner and
-        Tancer, DCG 2009). Otherwise the faces are counted directly. With an
-        ambient vertex in no facet the counts come from ``relabel_densely``."""
+        f_{s-1}(Δ) = C(n, s) - #{dual faces of size n - s} over the n-vertex
+        support (Björner and Tancer, DCG 2009). Otherwise the faces are
+        counted directly."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
-        dense = relabel_densely(self)
-        if dense is not self:
-            return dense.f_vector()
         if self._fvec is None:
             size = self.dim + 2
             dual = self._small_dual()
@@ -187,7 +186,7 @@ class SimplicialComplex:
                 for m in self.face_set():
                     counts[m.bit_count()] += 1
             else:
-                n = self.ambient
+                n = self._support.bit_count()
                 co = [0] * (n + 1)
                 for m in dual.face_set():
                     co[m.bit_count()] += 1
@@ -282,22 +281,25 @@ class SimplicialComplex:
         dual of the void complex is the full simplex, and the dual of the
         full simplex is void.
         """
-        return self._dual_within(None)
+        return self._dual_within((1 << self.ambient) - 1, None)
 
-    def _dual_within(self, limit: int | None) -> SimplicialComplex | None:
-        """``alexander_dual()``, or None as soon as the walk finds more than
-        ``limit`` dual faces (no limit when None)."""
-        n = self.ambient
-        full = (1 << n) - 1
-        blocked = {full & ~f for f in self._facets}
+    def _dual_within(self, ground: int, limit: int | None) -> SimplicialComplex | None:
+        """The Alexander dual over ``ground``, a vertex set that holds the
+        support and alone seeds the walk, or None as soon as the walk finds
+        more than ``limit`` dual faces (no limit when None)."""
+        blocked = {ground & ~f for f in self._facets}
         if 0 in blocked:
-            return SimplicialComplex([], ambient=n)
+            return SimplicialComplex([], ambient=self.ambient)
+        top = ground.bit_length()
         faces = {0}
-        level = [0]
+        level = [1 << v for v in bits(ground) if 1 << v not in blocked]
+        if limit is not None and 1 + len(level) > limit:
+            return None
         while level:
+            faces.update(level)
             nxt = []
             for m in level:
-                for v in range(m.bit_length(), n):
+                for v in range(m.bit_length(), top):
                     cand = m | 1 << v
                     if cand in blocked:
                         continue
@@ -305,26 +307,25 @@ class SimplicialComplex:
                         nxt.append(cand)
                         if limit is not None and len(faces) + len(nxt) > limit:
                             return None
-            faces.update(nxt)
             level = nxt
-        return SimplicialComplex._from_faces(faces, n)
+        return SimplicialComplex._from_faces(faces, self.ambient)
 
     def _small_dual(self) -> SimplicialComplex | None:
         """The Alexander dual when it has fewer faces than this complex but
         at least one, else None. Memoized; no face of this complex is listed.
 
-        |Δ| + |Δ^∨| = 2^n, so the dual is the smaller side iff it has fewer
-        than 2^(n-1) faces. Δ has at most min(C(n, s), Σ_F C(|F|, s)) faces
-        of size s; when these bounds sum to at most 2^(n-1) the dual cannot
-        be smaller and no walk runs. Otherwise the dual walk stops past
-        2^(n-1) - 1 faces."""
+        The dual is taken over the n-vertex support: |Δ| + |Δ^∨| = 2^n, so it
+        is the smaller side iff it has fewer than 2^(n-1) faces. Δ has at most
+        min(C(n, s), Σ_F C(|F|, s)) faces of size s; when these bounds sum to
+        at most 2^(n-1) the dual cannot be smaller and no walk runs. Otherwise
+        the dual walk stops past 2^(n-1) - 1 faces."""
         if self._dual is _UNDECIDED:
-            n = self.ambient
+            n = self._support.bit_count()
             dual = None
             sizes = Counter(f.bit_count() for f in self._facets)
             bound = sum(min(comb(n, s), sum(c * comb(m, s) for m, c in sizes.items())) for s in range(n + 1))
             if bound << 1 > 1 << n:
-                dual = self._dual_within(((1 << n) - 1) >> 1)
+                dual = self._dual_within(self._support, ((1 << n) - 1) >> 1)
                 if dual is not None and dual.is_void:  # the full simplex
                     dual = None
             self._dual = dual
@@ -393,15 +394,12 @@ class SimplicialComplex:
 def relabel_densely(cx: SimplicialComplex) -> SimplicialComplex:
     """``cx`` with its vertices renamed 0..nv-1 in increasing order, over an
     ambient set of exactly those nv vertices; ``cx`` itself when every
-    ambient vertex is in a facet. Memoized on ``cx``."""
-    if cx._dense is None:
-        verts = cx.vertices()
-        if len(verts) == cx.ambient:
-            cx._dense = cx
-        else:
-            pos = {v: i for i, v in enumerate(verts)}
-            cx._dense = SimplicialComplex([mask_of(pos[v] for v in to_tuple(f)) for f in cx._facets])
-    return cx._dense
+    ambient vertex is in a facet."""
+    verts = cx.vertices()
+    if len(verts) == cx.ambient:
+        return cx
+    pos = {v: i for i, v in enumerate(verts)}
+    return SimplicialComplex([mask_of(pos[v] for v in to_tuple(f)) for f in cx._facets])
 
 
 def from_facets(faces, ambient: int | None = None) -> SimplicialComplex:

@@ -8,9 +8,9 @@ coefficients are the diagonal entries greater than one.
 Everything is exact: the Smith reduction works on sparse rows of unbounded
 Python ints, pivoting on the first unit entry. Boundary matrices and Smith
 reduction run on whichever side of Alexander duality has fewer faces; for
-cut complexes that is usually the dual. The side comes from the memoized
-small dual of the complex relabelled onto its own vertices, decided without
-listing a face of the larger side.
+cut complexes that is usually the dual. The side comes from the complex's
+memoized small dual, taken over the complex's own vertices and decided
+without listing a face of the larger side.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .bitsets import to_tuple
-from .complexes import SimplicialComplex, relabel_densely
+from .complexes import SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,17 @@ def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
     return ranks, torsion
 
 
-def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex) -> tuple[dict, dict]:
+def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex, n: int) -> tuple[dict, dict]:
     """The same groups as ``_primal_groups``, computed on ``dual``, the
-    Alexander dual of ``cx``.
+    Alexander dual of ``cx`` over a ground set of n vertices that holds the
+    vertices of ``cx``.
 
-    Over an ambient set of n vertices, H~_i(Δ; Z) is isomorphic to
+    Over such a ground set, H~_i(Δ; Z) is isomorphic to
     H~^(n-i-3)(Δ^∨; Z) (Björner and Tancer, "Combinatorial Alexander duality
     -- a short and elementary proof", DCG 2009). By universal coefficients
     the free rank of H~_i(Δ) is β_(n-i-3)(Δ^∨) and its torsion is the torsion
     of H~_(n-i-4)(Δ^∨). A void dual (that of the full simplex) raises.
     """
-    n = cx.ambient
     dual_ranks, dual_torsion = _primal_groups(dual)
     dims = range(-1, cx.dim + 1)
     return (
@@ -238,13 +238,12 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     than Δ, which the capped dual walk behind the complex's small-dual memo
     decides without listing a primal face; that same dual is then reused.
     Ties and the full simplex, whose dual is void, stay primal. Duality is
-    taken over the complex's own vertices (``relabel_densely``), since over
-    an ambient vertex in no facet the dual is never the smaller side.
+    taken over the complex's own n vertices, since over an ambient vertex in
+    no facet the dual is never the smaller side.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
-    cx = relabel_densely(cx)
     dual = cx._small_dual()
     if dual is not None:
-        return HomologyReport(*_dual_groups(cx, dual), side="dual")
+        return HomologyReport(*_dual_groups(cx, dual, cx._support.bit_count()), side="dual")
     return HomologyReport(*_primal_groups(cx), side="primal")

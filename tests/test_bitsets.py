@@ -21,6 +21,17 @@ def test_to_tuple_grows_its_table_for_wide_masks(monkeypatch):
     assert len(bitsets._BYTE_BITS) == 28  # 220 bits
 
 
+def test_to_tuple_builds_rows_only_for_used_byte_offsets(monkeypatch):
+    monkeypatch.setattr(bitsets, "_BYTE_BITS", ())  # start from an empty table
+    sparse = [(1 << 20_003) | 1, 1 << 10_000, (1 << 20_007) | (1 << 9), 1 << 64]
+    for m in sparse:
+        assert to_tuple(m) == tuple(bits(m))
+    # offsets 0, 1, 8, 1,250 and 2,500 of the 2,501 up to bit 20,007
+    assert sum(1 for row in bitsets._BYTE_BITS if row) == 5
+    for m in sparse + WIDE_MASKS:
+        assert to_tuple(m) == tuple(bits(m))
+
+
 def test_to_tuple_on_kneser_neighbourhoods():
     g = family("kneser:12,3")
     assert g.n == 220

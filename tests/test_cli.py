@@ -210,6 +210,14 @@ def _one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_realize_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    for text in ("[" * 100_000, '{"facets": ' + "[" * 100_000 + "]" * 100_000 + ', "ambient": 1}'):
+        path.write_text(text)
+        code, out, err = run(capsys, "realize", str(path))
+        assert _one_error_line(code, out, err) and "cannot read complex JSON" in err
+
+
 def test_morse_order_vertices_must_be_graph_vertices(capsys):
     for order in ("0,1,2,3,9", "-1", "0,-1,2"):
         code, out, err = run(capsys, "morse", "cycle:5", "--k", "2", "--order", order)

@@ -190,6 +190,10 @@ SIDE_EXAMPLES = [
     from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 3), (4,)]),  # bound 18 > 16, so the walk runs and overflows: |Δ| = 15
     cut_complex(family("cycle:5"), 2),  # the dual has 11 faces, |Δ| = 21
     from_facets([(0, 1, 2, 3, 4, 5, 6, 7)], ambient=9),  # a vertex in no facet
+    # Δ_3(K_16 ⊔ K_1): 65,519 faces on 16 vertices and a 17-face dual; the
+    # isolated vertex is in no facet, at the top and then at index 0
+    cut_complex(from_edge_list(17, list(combinations(range(16), 2))), 3),
+    cut_complex(from_edge_list(17, list(combinations(range(1, 17), 2))), 3),
 ]
 
 
@@ -224,9 +228,11 @@ def test_complete_skeleton_dim_matches_brute_force(cx):
 @given(ambient_complexes())
 @side_examples
 def test_f_vector_from_the_dual_matches_enumeration(cx):
-    n = cx.ambient
+    verts = cx.vertices()
+    n = len(verts)  # duality is taken over the complex's own vertices
+    faces = brute_faces(cx.facet_tuples())  # face_set() itself may read the dual
     enumerated = [0] * (cx.dim + 2)
-    for f in brute_faces(cx.facet_tuples()):  # face_set() itself may read the dual
+    for f in faces:
         enumerated[len(f)] += 1
     dual = cx._small_dual()
     # the dual is the chosen side iff it is nonempty and smaller than Δ
@@ -234,7 +240,11 @@ def test_f_vector_from_the_dual_matches_enumeration(cx):
     assert cx.f_vector() == tuple(enumerated)
     if dual is not None:
         assert cx._faces is None  # the counts came from the dual
-        assert dual == cx.alexander_dual()
+        # the dual faces are the complements within the support of the non-faces
+        non_faces = [c for s in range(n + 1) for c in combinations(verts, s) if c not in faces]
+        assert {to_tuple(m) for m in dual.face_set()} == {tuple(v for v in verts if v not in c) for c in non_faces}
+        if n == cx.ambient:
+            assert dual == cx.alexander_dual()
         co = [0] * (n + 1)
         for m in dual.face_set():
             co[m.bit_count()] += 1
@@ -255,6 +265,36 @@ def test_counts_and_homology_match_the_relabelled_complex(cx):
     fresh = SimplicialComplex(dense.facets)  # nothing memoized yet
     assert cx.f_vector() == fresh.f_vector()
     assert reduced_homology(cx) == reduced_homology(fresh) == HomologyReport(*_primal_groups(cx))
+
+
+def test_duality_over_the_support_needs_no_relabelling(monkeypatch):
+    import cutcomplex.complexes as complexes
+    import cutcomplex.homology as homology
+
+    k5 = list(combinations(range(5), 2))
+    cases = [
+        cut_complex(from_edge_list(6, k5), 3),  # K_5 plus an isolated vertex 5
+        cut_complex(from_edge_list(6, [(u + 1, v + 1) for u, v in k5]), 3),  # ... at index 0
+        cut_complex(family("cycle:8"), 3).link((0,)),  # vertex 0 is in no facet of the link
+    ]
+    expected = []
+    for cx in cases:
+        dense = relabel_densely(cx)
+        assert dense is not cx
+        expected.append((dense.f_vector(), reduced_homology(dense), len(dense.face_set())))
+
+    def refuse(*args):
+        raise AssertionError("relabel_densely or submasks was called")
+
+    monkeypatch.setattr(complexes, "relabel_densely", refuse)
+    monkeypatch.setattr(homology, "relabel_densely", refuse, raising=False)
+    monkeypatch.setattr(complexes, "submasks", refuse)  # the faces come from the dual
+    for cx, (fvec, rep, count) in zip(cases, expected):
+        cx = SimplicialComplex(cx.facets, ambient=cx.ambient)  # nothing memoized yet
+        assert cx.f_vector() == fvec
+        assert reduced_homology(cx) == rep and reduced_homology(cx).side == "dual"
+        faces = cx.face_set()
+        assert len(faces) == count and {to_tuple(f) for f in faces} == brute_faces(cx.facet_tuples())
 
 
 @settings(max_examples=80, deadline=None)
