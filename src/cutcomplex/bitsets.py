@@ -26,25 +26,23 @@ def bits(mask: int) -> Iterator[int]:
 
 
 # _BYTE_BITS[i][b]: the set bit positions of byte value b at byte offset i.
-# Only the byte offsets that have held a set bit get a row; the others hold
-# (), so a lookup there raises IndexError and the row is built then. Each
-# growth replaces the whole tuple, so a concurrent reader sees either table,
-# and both are correct.
-_BYTE_BITS: tuple[tuple[tuple[int, ...], ...], ...] = ()
+# Only the byte offsets that have held a set bit have a row, so memory follows
+# the offsets in use, not the highest one; a lookup elsewhere raises KeyError
+# and the row is built then. Each growth replaces the whole dict, so a
+# concurrent reader sees either table, and both are correct.
+_BYTE_BITS: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def _add_rows(mask: int) -> None:
     """Give every byte offset that holds a set bit of ``mask`` its row."""
     global _BYTE_BITS
-    rows = list(_BYTE_BITS)
-    rows += [()] * (((mask.bit_length() + 7) >> 3) - len(rows))
-    for i in {v >> 3 for v in bits(mask)}:
-        if not rows[i]:
-            row = [()]
-            for v in range(8 * i, 8 * i + 8):  # the values with bit v set follow those without
-                row += [t + (v,) for t in row]
-            rows[i] = tuple(row)
-    _BYTE_BITS = tuple(rows)
+    rows = dict(_BYTE_BITS)
+    for i in {v >> 3 for v in bits(mask)} - rows.keys():
+        row = [()]
+        for v in range(8 * i, 8 * i + 8):  # the values with bit v set follow those without
+            row += [t + (v,) for t in row]
+        rows[i] = tuple(row)
+    _BYTE_BITS = rows
 
 
 def to_tuple(mask: int) -> tuple[int, ...]:
@@ -63,7 +61,7 @@ def to_tuple(mask: int) -> tuple[int, ...]:
                 skip = ((rest & -rest).bit_length() - 1) >> 3
                 rest >>= skip << 3
                 i += skip
-    except IndexError:  # a byte offset without its row yet
+    except KeyError:  # a byte offset without its row yet
         _add_rows(mask)
         return to_tuple(mask)
     return out

@@ -79,9 +79,9 @@ class SimplicialComplex:
         faces with no one-vertex extension, so no normalization is needed."""
         cx = cls.__new__(cls)
         cx._support = reduce(or_, faces, 0)
+        singles = [1 << v for v in bits(cx._support)]
         cx._facets = tuple(sorted(
-            m for m in faces
-            if not any((m | 1 << v) in faces for v in range(cx._support.bit_length()) if not (m >> v) & 1)
+            m for m in faces if not any((m | b) in faces for b in singles if not m & b)
         ))
         cx.ambient = ambient
         cx._faces = frozenset(faces)
@@ -143,12 +143,10 @@ class SimplicialComplex:
                     out.update(submasks(f))
             else:
                 support = self._support
-                subsets = range(support + 1)  # when the support is 0..n-1
-                if support & (support + 1):
-                    subsets = [0]
-                    for v in bits(support):  # the subsets with v follow those without
-                        subsets += [m | 1 << v for m in subsets]
-                out = set(subsets)
+                run = support & ~(support + 1)  # vertices 0..j-1, the support's low run
+                out = set(range(run + 1))  # the subsets of run, doubled over each further vertex
+                for v in bits(support ^ run):
+                    out.update([m | 1 << v for m in out])
                 out.difference_update([support ^ m for m in dual.face_set()])
             self._faces = frozenset(out)
         return self._faces
@@ -285,22 +283,25 @@ class SimplicialComplex:
 
     def _dual_within(self, ground: int, limit: int | None) -> SimplicialComplex | None:
         """The Alexander dual over ``ground``, a vertex set that holds the
-        support and alone seeds the walk, or None as soon as the walk finds
-        more than ``limit`` dual faces (no limit when None)."""
+        support, or None as soon as the walk finds more than ``limit`` dual
+        faces (no limit when None). The walk tries only the vertices of
+        ``ground``, so gaps in its vertex numbers cost nothing."""
         blocked = {ground & ~f for f in self._facets}
         if 0 in blocked:
             return SimplicialComplex([], ambient=self.ambient)
-        top = ground.bit_length()
+        singles = [1 << v for v in bits(ground)]
+        # start[m.bit_length()]: where the ground's vertices past m's top vertex begin
+        start = {b.bit_length(): i + 1 for i, b in enumerate(singles)}
         faces = {0}
-        level = [1 << v for v in bits(ground) if 1 << v not in blocked]
+        level = [b for b in singles if b not in blocked]
         if limit is not None and 1 + len(level) > limit:
             return None
         while level:
             faces.update(level)
             nxt = []
             for m in level:
-                for v in range(m.bit_length(), top):
-                    cand = m | 1 << v
+                for b in singles[start[m.bit_length()]:]:
+                    cand = m | b
                     if cand in blocked:
                         continue
                     if all((cand & ~(1 << u)) in faces for u in bits(m)):

@@ -212,17 +212,17 @@ def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
     return ranks, torsion
 
 
-def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex, n: int) -> tuple[dict, dict]:
+def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex) -> tuple[dict, dict]:
     """The same groups as ``_primal_groups``, computed on ``dual``, the
-    Alexander dual of ``cx`` over a ground set of n vertices that holds the
-    vertices of ``cx``.
+    Alexander dual of ``cx`` over the n vertices of ``cx``.
 
-    Over such a ground set, H~_i(Δ; Z) is isomorphic to
+    Over that vertex set, H~_i(Δ; Z) is isomorphic to
     H~^(n-i-3)(Δ^∨; Z) (Björner and Tancer, "Combinatorial Alexander duality
     -- a short and elementary proof", DCG 2009). By universal coefficients
     the free rank of H~_i(Δ) is β_(n-i-3)(Δ^∨) and its torsion is the torsion
     of H~_(n-i-4)(Δ^∨). A void dual (that of the full simplex) raises.
     """
+    n = cx._support.bit_count()
     dual_ranks, dual_torsion = _primal_groups(dual)
     dims = range(-1, cx.dim + 1)
     return (
@@ -245,5 +245,5 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
         raise ValueError("the void complex has no homology")
     dual = cx._small_dual()
     if dual is not None:
-        return HomologyReport(*_dual_groups(cx, dual, cx._support.bit_count()), side="dual")
+        return HomologyReport(*_dual_groups(cx, dual), side="dual")
     return HomologyReport(*_primal_groups(cx), side="primal")

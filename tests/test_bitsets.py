@@ -15,19 +15,21 @@ WIDE_MASKS = [
 
 
 def test_to_tuple_grows_its_table_for_wide_masks(monkeypatch):
-    monkeypatch.setattr(bitsets, "_BYTE_BITS", ())  # start from an empty table
+    monkeypatch.setattr(bitsets, "_BYTE_BITS", {})  # start from an empty table
     for m in WIDE_MASKS + WIDE_MASKS[::-1]:  # widening, then narrowing
         assert to_tuple(m) == tuple(bits(m))
     assert len(bitsets._BYTE_BITS) == 28  # 220 bits
 
 
 def test_to_tuple_builds_rows_only_for_used_byte_offsets(monkeypatch):
-    monkeypatch.setattr(bitsets, "_BYTE_BITS", ())  # start from an empty table
+    monkeypatch.setattr(bitsets, "_BYTE_BITS", {})  # start from an empty table
     sparse = [(1 << 20_003) | 1, 1 << 10_000, (1 << 20_007) | (1 << 9), 1 << 64]
     for m in sparse:
         assert to_tuple(m) == tuple(bits(m))
     # offsets 0, 1, 8, 1,250 and 2,500 of the 2,501 up to bit 20,007
-    assert sum(1 for row in bitsets._BYTE_BITS if row) == 5
+    assert sorted(bitsets._BYTE_BITS) == [0, 1, 8, 1_250, 2_500]
+    assert to_tuple(1 << 8_000_000) == (8_000_000,)  # one row more, not 997,500
+    assert len(bitsets._BYTE_BITS) == 6
     for m in sparse + WIDE_MASKS:
         assert to_tuple(m) == tuple(bits(m))
 

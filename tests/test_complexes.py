@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 from unittest import mock
 from math import comb
@@ -295,6 +296,21 @@ def test_duality_over_the_support_needs_no_relabelling(monkeypatch):
         assert reduced_homology(cx) == rep and reduced_homology(cx).side == "dual"
         faces = cx.face_set()
         assert len(faces) == count and {to_tuple(f) for f in faces} == brute_faces(cx.facet_tuples())
+
+
+def test_duality_over_a_sparse_support_skips_the_gaps():
+    # vertices 0, 1 and 1,000,000: the dual walk and the facet scan of its
+    # result try only those three, never the million numbers in between
+    top = 1_000_000
+    start = time.perf_counter()
+    # paths with the one missing edge {1, top}, then {0, 1}; the dual is its complement
+    for facets, dual_facets in (([(0, 1), (0, top)], ((0,),)), ([(0, top), (1, top)], ((top,),))):
+        cx = from_facets(facets)
+        assert cx.f_vector() == (1, 3, 2)
+        assert cx._small_dual().facet_tuples() == dual_facets
+        assert reduced_homology(cx).side == "dual" and reduced_homology(cx).nonzero_dims() == []
+        assert {to_tuple(f) for f in cx.face_set()} == brute_faces(cx.facet_tuples())
+    assert time.perf_counter() - start < 2
 
 
 @settings(max_examples=80, deadline=None)
