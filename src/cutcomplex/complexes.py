@@ -209,8 +209,6 @@ class SimplicialComplex:
         """Link of a face; the link of a non-face is the void complex."""
         self._require_nonvoid()
         m = sigma if isinstance(sigma, int) else mask_of(sigma)
-        if not self.has_face(m):
-            return SimplicialComplex([], ambient=self.ambient)
         return SimplicialComplex(
             [f & ~m for f in self._facets if m & ~f == 0], ambient=self.ambient
         )
@@ -226,8 +224,6 @@ class SimplicialComplex:
         """Faces not containing sigma; deleting ∅ leaves the void complex."""
         self._require_nonvoid()
         m = sigma if isinstance(sigma, int) else mask_of(sigma)
-        if m == 0:
-            return SimplicialComplex([], ambient=self.ambient)
         out = []
         for f in self._facets:
             if m & ~f:
@@ -242,7 +238,7 @@ class SimplicialComplex:
         """Faces of dimension at most d (d >= -1)."""
         if d < -1:
             raise ValueError("skeleton dimension must be >= -1")
-        if self.is_void or d >= self.dim:
+        if d >= self.dim:
             return self
         out = []
         for f in self._facets:
@@ -256,8 +252,6 @@ class SimplicialComplex:
         """Join, with the other complex's vertices shifted past this ambient."""
         shift = self.ambient
         ambient = self.ambient + other.ambient
-        if self.is_void or other.is_void:
-            return SimplicialComplex([], ambient=ambient)
         return SimplicialComplex(
             [f | (g << shift) for f in self._facets for g in other._facets],
             ambient=ambient,

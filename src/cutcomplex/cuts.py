@@ -41,8 +41,6 @@ def disconnected_ksets(g: Graph, k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1 or k > g.n:
-        return []
     return disconnected_masks(g, ksubset_masks(g.n, k))
 
 
@@ -77,8 +75,6 @@ def facets_via_ridges(cx: SimplicialComplex, k: int) -> list[int]:
     facet to reach it, and one counting pass over those deletions suffices."""
     if k < 2:
         raise ValueError("ridge recursion needs k >= 2")
-    if cx.is_void or cx.is_empty_complex:
-        return []
     counts = Counter(f & ~(1 << v) for f in cx.facets for v in bits(f))
     return sorted(r for r, c in counts.items() if c >= k)
 
@@ -276,8 +272,6 @@ def _edgeless_betti(n, k):
 
 
 def _cycle_betti(n, k):
-    if n <= 3:
-        return BettiPrediction.void()
     if k == 1 or k >= n - 1:
         return BettiPrediction.void()
     if k == 2:
@@ -292,8 +286,6 @@ def _prism_betti(n, k):
 
 
 def _squared_cycle_betti(n, k):
-    if n <= 5 and k >= 1:
-        return BettiPrediction.void()  # complete graph
     if k == 1 or n <= k + 3:
         return BettiPrediction.void()
     if k == 2:

@@ -87,7 +87,10 @@ def from_edge_list(n: int, edges, labels=None) -> Graph:
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    adj = [0] * n
+    try:
+        adj = [0] * n
+    except (MemoryError, OverflowError):  # a header too large to hold one row per vertex
+        raise ValueError(f"cannot allocate a graph on {n} vertices") from None
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
@@ -370,8 +373,6 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     each vertex's neighbors among later vertices form a clique.
     """
     n = g.n
-    if n == 0:
-        return True, ()
     weight = [0] * n
     unnumbered = set(range(n))
     visit = []

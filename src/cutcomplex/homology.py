@@ -35,7 +35,7 @@ class IntMatrix:
 # Smith normal form
 
 
-def _snf_sparse(nrows, ncols, entries):
+def _snf_sparse(entries):
     """Exact reduction on dict-of-dicts rows with Python ints; returns the
     nonzero diagonal before it is put into divisibility order. The pivot is
     the first entry with |v| = 1 in row order, else the first of least |v|.
@@ -101,26 +101,23 @@ def _snf_sparse(nrows, ncols, entries):
 
 
 def _divisibility_chain(diag):
-    """Rearrange a diagonal into the unique d1 | d2 | ... normal form."""
-    work = sorted(d for d in diag if d not in (0, 1))
-    ones = sum(1 for d in diag if d == 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if work[j] % work[i]:
-                    g = gcd(work[i], work[j])
-                    work[i], work[j] = g, work[i] // g * work[j]
-                    changed = True
-        work.sort()
+    """Rearrange a diagonal into the unique d1 | d2 | ... normal form.
+
+    One sweep of gcd/lcm swaps: after pass i, work[i] divides every later
+    entry, and later swaps keep them multiples of it."""
+    work = [d for d in diag if d not in (0, 1)]
+    ones = diag.count(1)
+    for i in range(len(work)):
+        for j in range(i + 1, len(work)):
+            g = gcd(work[i], work[j])
+            work[i], work[j] = g, work[i] // g * work[j]
     return [1] * ones + work
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """Diagonal of the Smith normal form (padded with zeros to min(rows, cols))
     and the rank."""
-    diag = _divisibility_chain(_snf_sparse(m.nrows, m.ncols, m.entries))
+    diag = _divisibility_chain(_snf_sparse(m.entries))
     rank = len(diag)
     diag += [0] * (min(m.nrows, m.ncols) - rank)
     return tuple(diag), rank

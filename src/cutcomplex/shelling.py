@@ -83,7 +83,7 @@ def _facet_permutation(cx: SimplicialComplex, order):
 def verify_shelling_order(cx: SimplicialComplex, order) -> tuple[bool, tuple[int, int] | None]:
     """Check the pairwise criterion; on rejection also return the first
     failing (i, j) pair of positions."""
-    if cx.is_void or cx.is_empty_complex:
+    if cx.is_void:
         _facet_permutation(cx, order)
         return True, None
     if not cx.is_pure:
@@ -150,18 +150,12 @@ def find_shelling(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if cx.is_void:
         return ShellingCertificate("shellable", (), 0, void_input=True)
-    if cx.is_empty_complex:
-        return ShellingCertificate("shellable", ((),), 0)
     if not cx.is_pure:
         raise ValueError("shelling search requires a pure complex")
     facets = cx.facets
-    t = len(facets)
-    if t == 1:
-        return ShellingCertificate("shellable", (to_tuple(facets[0]),), 0)
-
     rows = _restriction_rows(facets)
     # cheap first attempt: ascending-mask order is often already a shelling
-    if not any(_blocked(rows[j], (1 << j) - 1) for j in range(t)):
+    if not any(_blocked(row, (1 << j) - 1) for j, row in enumerate(rows)):
         return ShellingCertificate("shellable", tuple(to_tuple(f) for f in facets), 0)
     obstruction = _homology_obstruction(cx, homology)
     if obstruction is not None:

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import cutcomplex
 from cutcomplex import SimplicialComplex, cut_complex, family, write_graph_text
 from cutcomplex.cli import main
 
@@ -68,6 +75,9 @@ def test_morse_subcommand(capsys):
 def test_morse_order_validation(capsys):
     code, _, err = run(capsys, "morse", "cycle:5", "--k", "3", "--order", "tree")
     assert code == 2 and "k = 2" in err
+    for order, message in (("restricted", "targets k = 2"), ("0,a", "bad --order '0,a'")):
+        code, out, err = run(capsys, "morse", "cycle:6", "--k", "3", "--order", order)
+        assert _one_error_line(code, out, err) and message in err
 
 
 def test_morse_prism_order_reads_the_parsed_family(tmp_path, monkeypatch, capsys):
@@ -125,6 +135,28 @@ def test_experiment_squared_cycle(capsys):
     # never asserts: exit 0 regardless of agreement
     code, out, _ = run(capsys, "experiment", "squared-cycle", "--k", "2", "--n", "7")
     assert code == 0
+
+
+def test_experiment_on_a_void_complex_and_the_k3_conjecture(capsys):
+    # squared_cycle:5 is K_5, so its 3-cut complex is void
+    code, out, _ = run(capsys, "experiment", "squared-cycle", "--k", "3", "--n", "5", "--json")
+    assert code == 0 and json.loads(out)["homology"] is None
+    code, out, _ = run(capsys, "experiment", "squared-cycle", "--k", "3", "--n", "9")
+    # C(n - 4, 2) - 9 spheres in dimension n - k - 1
+    assert code == 0 and "conjectured (never asserted): wedge of 1 spheres in dimension 5" in out.splitlines()
+
+
+def test_verify_reports_a_wrong_expected_verdict(monkeypatch, capsys):
+    import cutcomplex.cli as cli
+
+    monkeypatch.setattr(cli, "_TABLE1_SMALL", [("cycle:5", 3, True), ("cycle:5", 2, True)])
+    code, out, _ = run(capsys, "verify", "table1-small")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS cycle:5 k=3",
+        "FAIL cycle:5 k=2 (shelling: expected shellable, got not_shellable)",
+        "some rows FAILED",
+    ]
 
 
 def test_verify_corpus_passes(capsys):
@@ -272,3 +304,29 @@ def test_verify_computes_one_homology_per_nonvoid_row(monkeypatch, capsys):
     nonvoid = sum(not cut_complex(family(row["family"]), row["k"]).is_void for row in rows)
     assert code == 0 and len(rows) == 32 and nonvoid == 29
     assert len(calls) == nonvoid == len({id(cx) for cx in calls})
+
+
+def test_huge_graph_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000000000000000 0\n")
+    code, out, err = run(capsys, "build", str(path), "--k", "2")
+    assert _one_error_line(code, out, err) and "100000000000000000000 vertices" in err
+
+
+def test_huge_graph_header_exits_2_under_an_address_space_cap(tmp_path):
+    # without the cap an always-overcommit kernel could hand out the 8 TB list
+    pytest.importorskip("resource")
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000000 0\n")
+    cap = 1 << 30
+    code = (
+        f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+        "from cutcomplex.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(cutcomplex.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code, "build", str(path), "--k", "2"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert _one_error_line(done.returncode, done.stdout, done.stderr), done.stderr
+    assert "1000000000000 vertices" in done.stderr

@@ -174,6 +174,7 @@ def test_facets_via_ridges_empty_cases():
     assert disconnected_ksets(g, 3) == []
     assert facets_via_ridges(cut_complex(g, 2), 2) == []
     assert facets_via_ridges(from_facets([]), 2) == []
+    assert facets_via_ridges(from_facets([()]), 2) == []
 
 
 def test_skeleton_condition_examples():
@@ -289,6 +290,46 @@ def test_predicted_betti_spot_values():
     assert (p.status, p.dim, p.count) == ("wedge", 1, 1)
     p = predicted_betti("complete_multipartite:2,2,2,2", 2)
     assert (p.status, p.dim, p.count) == ("wedge", 2, 1)
+
+
+def test_predicted_betti_void_for_complete_cycles_and_squared_cycles():
+    # cycle:3 and squared_cycle:3..5 are complete graphs; cycle:n has no
+    # disconnected k-set at k >= n - 1
+    for spec, n in [("cycle:3", 3), ("squared_cycle:3", 3), ("squared_cycle:4", 4), ("squared_cycle:5", 5)]:
+        for k in range(1, n + 3):
+            assert predicted_betti(spec, k).status == "void", (spec, k)
+    for n in range(3, 10):
+        for k in range(n - 1, n + 3):
+            assert predicted_betti(f"cycle:{n}", k).status == "void", (n, k)
+
+
+# one spec per family with a closed form, on at most 8 vertices except the
+# three-part multipartite graph (Kneser graphs are covered only from n = 10)
+CLOSED_FORM_SPECS = [
+    "edgeless:1", "edgeless:4", "complete:4", "complete_multipartite:5", "complete_multipartite:3,4",
+    "complete_multipartite:2,2,2", "complete_multipartite:2,3,4", "star:4", "path:5", "tree:0-1,1-2,1-3,3-4",
+    *(f"cycle:{n}" for n in range(3, 9)), "prism:3", "prism:4", *(f"squared_cycle:{n}" for n in range(3, 9)),
+    "balloon:4,3", "figure_eight:4,4",
+]
+
+
+def test_every_closed_form_matches_computed_homology():
+    for spec in CLOSED_FORM_SPECS:
+        g = family(spec)
+        for k in range(1, g.n + 2):
+            try:
+                pred = predicted_betti(spec, k)
+            except NotCoveredError:
+                continue
+            cx = cut_complex(g, k)
+            rep = None if cx.is_void else reduced_homology(cx)
+            assert pred.matches(cx, rep), (spec, k, pred)
+
+
+def test_forest_betti_at_k_equal_n():
+    assert forest_betti(family("path:4"), 4).status == "void"
+    p = forest_betti(from_edge_list(4, [(0, 1), (2, 3)]), 4)
+    assert (p.status, p.dim, p.count) == ("wedge", -1, 1)
 
 
 def test_predicted_betti_not_covered():

@@ -5,7 +5,8 @@ Every call must return an exit code (no exception escapes), the code must be
 0, 1 or 2, and exit 2 must print exactly one ``error:`` line. Sizes stay small
 (graphs of at most 12 vertices, complexes of at most 4 facets on 6 vertices)
 so that each call ends well under a second. A graph header with a huge vertex
-count is left out: building such a graph is not bounded yet.
+count is left out: one too large to allocate exits 2 (see test_cli), but a
+header of 10^8 vertices still allocates 800 MB before any edge is read.
 """
 
 import contextlib

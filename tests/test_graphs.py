@@ -232,6 +232,7 @@ def test_is_chordal_examples():
         assert is_chordal(family(f"kayak:{k}"))[0]
     assert is_chordal(family("complete:5"))[0]
     assert is_chordal(family("threshold:0101"))[0]
+    assert is_chordal(from_edge_list(0, [])) == (True, ())
 
 
 @settings(max_examples=60, deadline=None)

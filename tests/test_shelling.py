@@ -19,7 +19,9 @@ from cutcomplex import (
     verify_shelling_order,
     wedge,
 )
-from cutcomplex.shelling import Obstruction, _blocked, _homology_obstruction, _restriction_rows, _search
+from cutcomplex.shelling import (
+    Obstruction, ShellingCertificate, _blocked, _homology_obstruction, _restriction_rows, _search,
+)
 from conftest import RP2_FACETS, random_chordal, random_graph
 
 FIG2 = from_edge_list(5, [(0, 2), (0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
@@ -58,9 +60,9 @@ def test_find_shelling_trivial_cases():
     cert = find_shelling(from_facets([]))
     assert cert.verdict == "shellable" and cert.void_input and cert.order == ()
     cert = find_shelling(from_facets([()]))
-    assert cert.verdict == "shellable" and cert.order == ((),)
+    assert cert == ShellingCertificate("shellable", ((),), 0)
     cert = find_shelling(from_facets([(0, 1, 2)]))
-    assert cert.verdict == "shellable"
+    assert cert == ShellingCertificate("shellable", ((0, 1, 2),), 0)
 
 
 def test_find_shelling_mobius_not_shellable():
