@@ -35,6 +35,7 @@ from .graphs import (
     induced_subgraph,
     is_chordal,
     is_connected_subset,
+    minimal_separators,
     parse_family,
     read_graph_text,
     shortest_cycle_length,

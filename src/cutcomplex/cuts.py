@@ -3,11 +3,12 @@
 The k-cut complex of a graph G on n vertices is generated by the complements
 of the k-subsets that induce disconnected subgraphs; its facets are the
 separating (n-k)-sets. This module holds everything specific to that
-construction: enumeration of disconnected k-sets, the connected-subset
-census, the complete-skeleton condition with its antichain Euler formula,
-ridge recursion between consecutive k, realization of arbitrary pure
-complexes as cut complexes of chordal graphs, and the closed-form Betti
-predictions for the graph families with known answers.
+construction: enumeration of disconnected k-sets (from the graph's
+minimal separators, or by a sweep of all k-sets when that is cheaper), the
+connected-subset census, the complete-skeleton condition with its antichain
+Euler formula, ridge recursion between consecutive k, realization of
+arbitrary pure complexes as cut complexes of chordal graphs, and the
+closed-form Betti predictions for the graph families with known answers.
 
 The Betti predictions are pure dispatchers over closed forms: they never
 compute homology, so they can serve as the oracle the homology engine is
@@ -30,6 +31,7 @@ from .graphs import (
     from_edge_list,
     has_triangle,
     parse_family,
+    separator_closure,
     shortest_cycle_length,
 )
 
@@ -38,10 +40,37 @@ def disconnected_ksets(g: Graph, k: int) -> list[int]:
     """All k-subsets inducing disconnected subgraphs, as ascending bitmasks.
 
     k = 1 gives the empty list by definition; k > n gives the empty list.
+
+    The complement U of a disconnected k-set is a separating (n-k)-set, so it
+    contains a minimal separator M: one between two vertices that g - U
+    keeps apart. The k-sets are therefore among V - (M u T), for M a minimal
+    separator with |M| <= n - k and T an (n-k-|M|)-subset of V - M, and a
+    flood of each of these candidates keeps the disconnected ones. That route
+    is tried first, counting one unit per vertex set the separator search
+    removes, one per component it floods and one per candidate. Once the
+    count passes C(n, k), the floods a sweep of every k-set makes, the sweep
+    runs instead.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return disconnected_masks(g, ksubset_masks(g.n, k))
+    n = g.n
+    cap = comb(n, k)
+    units = 0
+    small = []
+    for floods, new in separator_closure(g):
+        units += 1 + floods
+        for m in new:
+            if m.bit_count() <= n - k:
+                small.append(m)
+                units += comb(n - m.bit_count(), k)
+        if units > cap:
+            return disconnected_masks(g, ksubset_masks(n, k))
+    candidates = set()
+    for m in small:
+        rest = g.full_mask ^ m
+        singles = [1 << v for v in bits(rest)]
+        candidates.update(rest ^ sum(t) for t in combinations(singles, n - k - m.bit_count()))
+    return disconnected_masks(g, sorted(candidates))
 
 
 def cut_complex(g: Graph, k: int) -> SimplicialComplex:

@@ -12,9 +12,10 @@ Induced connectivity floods a vertex set through a per-byte neighbourhood
 table, ``Graph.reach``: ``reach[i][b]`` is the union of the closed
 neighbourhoods of the vertices in byte value ``b`` at byte offset ``i``, so
 one flood step costs one lookup per byte of the set reached so far instead
-of one per vertex. The table is built once per graph, by doubling, and
+of one per vertex. The table is built once per graph, by doubling.
 ``disconnected_masks`` runs the flood over a whole sweep of masks in one
-call.
+call, and ``separator_closure`` floods the components whose neighbourhoods
+are the graph's minimal separators, through the same helper.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bitsets import bits, mask_of, to_tuple
 
@@ -347,23 +348,83 @@ def disconnected_masks(g: Graph, masks: Iterable[int]) -> list[int]:
     """The masks among ``masks`` whose induced subgraphs are disconnected, in
     the order given. Each mask must be a nonempty subset of g's vertices."""
     reach = g.reach
-    out = []
-    for m in masks:
-        seen = m & -m
-        while seen != m:  # flood from the lowest vertex until m is reached or nothing grows
-            grow = 0
-            s = seen
-            for row in reach:
-                grow |= row[s & 255]
-                s >>= 8
-                if not s:
-                    break
-            grow &= m
-            if grow == seen:
-                out.append(m)
+    return [m for m in masks if _flood(reach, m & -m, m) & m != m]
+
+
+def _flood(reach, seen: int, m: int) -> int:
+    """Flood g[m] from ``seen``, a nonempty subset of m, one closed
+    neighbourhood per step, until the vertices reached stop growing or cover
+    m. Returns the last step: its part in m is the component C of g[m] that
+    holds ``seen``, and it is N[C] unless C = m was covered before its own
+    step was taken."""
+    while True:
+        grow = 0
+        s = seen
+        for row in reach:
+            grow |= row[s & 255]
+            s >>= 8
+            if not s:
                 break
-            seen = grow
-    return out
+        reached = grow & m
+        if reached == seen or reached == m:
+            return grow
+        seen = reached
+
+
+def _component_neighbourhoods(reach, m: int) -> Iterator[int]:
+    """Yield N(C) for each component C of g[m], lowest vertex first."""
+    rest = m
+    while rest:
+        closed = _flood(reach, rest & -rest, m)
+        if closed & m == m:  # m was covered before its closed neighbourhood was taken
+            closed = _flood(reach, m, m)
+        yield closed & ~m
+        rest &= ~closed
+
+
+def separator_closure(g: Graph) -> Iterator[tuple[int, list[int]]]:
+    """Run the closure of Berry, Bordat and Cogis (1999), which lists the
+    minimal separators of g. For each vertex set X it forms, yield the number
+    of components of g - X it floods and the separators among their
+    neighbourhoods that appear for the first time, so a caller can charge for
+    the work and stop early.
+
+    The closure starts from X = N[v] for each vertex v, and for each
+    separator S found and each x in S it takes X = S u N(x); each component
+    C of g - X gives the separator N(C). A set X already taken is not
+    flooded again: on the graphs ``realize_as_cut_complex`` builds, S u N(x)
+    is N[x] for every S, so the closure floods nothing the start has not.
+    """
+    reach = g.reach
+    full = g.full_mask
+    found: set[int] = set()
+    todo: list[int] = []
+    tried: set[int] = set()
+    removals = [g.adj[v] | 1 << v for v in range(g.n)]
+    while True:
+        for removed in removals:
+            floods = 0
+            new = []
+            if removed not in tried:
+                tried.add(removed)
+                for sep in _component_neighbourhoods(reach, full & ~removed):
+                    floods += 1
+                    if sep not in found:
+                        found.add(sep)
+                        new.append(sep)
+            todo += new
+            yield floods, new
+        if not todo:
+            return
+        sep = todo.pop()
+        removals = [sep | g.adj[x] for x in bits(sep)]
+
+
+def minimal_separators(g: Graph) -> list[int]:
+    """The minimal separators of g as ascending masks. S is one when g - S
+    has at least two components C with N(C) = S; the empty set is one
+    exactly when g is disconnected, and a complete graph has none."""
+    return sorted(sep for _, new in separator_closure(g) for sep in new)
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cutcomplex import (
     FamilySpecError,
     NotCoveredError,
+    cartesian_product,
     connected_kset_census,
     cut_complex,
     disconnected_ksets,
@@ -29,6 +31,8 @@ from cutcomplex import (
     triangle_free_delta2_betti,
     wedge_anchor_count,
 )
+from cutcomplex import cuts, graphs
+from cutcomplex.complexes import relabel_densely
 from conftest import RP2_FACETS, brute_connected, random_forest, random_graph
 
 FIG2 = from_edge_list(5, [(0, 2), (0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
@@ -439,3 +443,131 @@ def test_link_identity_on_small_graphs():
             for w in range(g.n):
                 if not cx.has_face(1 << w):
                     assert cut_complex(induced_subgraph(g, g.full_mask ^ (1 << w)), k).is_void
+
+
+# -- the separator route of disconnected_ksets --------------------------------
+
+
+def _brute_disconnected_by_size(g):
+    """{k: the disconnected k-sets as ascending masks}, by path search on
+    every vertex subset."""
+    out = {}
+    for mask in range(1, 1 << g.n):
+        verts = [v for v in range(g.n) if mask >> v & 1]
+        if not brute_connected(g, verts):
+            out.setdefault(len(verts), []).append(mask)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10_000))
+@example(12, 0.3, 0)
+def test_disconnected_ksets_match_brute_force_at_every_k(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    brute = _brute_disconnected_by_size(g)
+    for k in range(1, n + 2):
+        assert disconnected_ksets(g, k) == brute.get(k, []), k
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(2, 5), st.integers(0, 10_000))
+def test_realized_disconnected_ksets_match_brute_force(nv, size, count, seed):
+    rng = random.Random(seed)
+    size = min(size, nv)
+    cx = from_facets({tuple(sorted(rng.sample(range(nv), size))) for _ in range(count)})
+    g, k = realize_as_cut_complex(cx)
+    brute = _brute_disconnected_by_size(g)
+    for j in range(1, g.n + 1):
+        assert disconnected_ksets(g, j) == brute.get(j, []), j
+    assert cut_complex(g, k) == relabel_densely(cx)
+
+
+def _points(p):
+    return [(i,) for i in range(p)]
+
+
+def _sphere(m):
+    """The boundary of the m-simplex."""
+    return list(combinations(range(m + 1), m))
+
+
+def _join(a, b):
+    shift = 1 + max(max(f) for f in a)
+    return [f + tuple(v + shift for v in h) for f in a for h in b]
+
+
+def _cone(a):
+    return [f + (1 + max(max(f) for f in a),) for f in a]
+
+
+TORUS = sorted({tuple(sorted((i, (i + a) % 7, (i + 3) % 7))) for i in range(7) for a in (1, 2)})
+# pure complexes realized on 10-28 vertices, spheres and torsion included
+REALIZED = [
+    _sphere(4), _sphere(5), _join(_join(_points(2), _points(2)), _points(2)),
+    _join(_sphere(2), _sphere(2)), _join(_points(3), _sphere(2)), _join(_points(3), _points(3)),
+    _join(_points(4), _points(2)), _cone(_sphere(4)), RP2_FACETS, _cone(RP2_FACETS),
+    _join(RP2_FACETS, _points(2)), TORUS, _cone(TORUS), _join(_join(_points(3), _points(3)), _points(2)),
+]
+
+
+def test_realized_graphs_take_the_separator_route(monkeypatch):
+    sweeps = []
+    real_sweep = cuts.ksubset_masks
+    monkeypatch.setattr(cuts, "ksubset_masks", lambda *a: sweeps.append(a) or real_sweep(*a))
+    for facets in REALIZED:
+        cx = from_facets(facets)
+        g, k = realize_as_cut_complex(cx)
+        assert 10 <= g.n <= 28
+        assert cut_complex(g, k) == cx
+        assert sweeps == [], facets
+    # five points realize on n = 10 at k = 9: the search's first removals
+    # and floods pass C(10, 9) = 10, so the ten-set sweep answers
+    g, k = realize_as_cut_complex(from_facets(_points(5)))
+    assert cut_complex(g, k) == from_facets(_points(5))
+    assert sweeps == [(10, 9)]
+
+
+def test_separator_route_gives_way_to_the_sweep_on_the_grid(monkeypatch):
+    # the 6x8 grid has many more minimal separators than 3-vertex cuts, so at
+    # k = 45 the route's work passes C(48, 45) and the sweep answers
+    grid = cartesian_product(family("path:6"), family("path:8"))
+    n, k = 48, 45
+    nbrs = {v: [] for v in range(n)}
+    for u, v in grid.edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    def separates(cut):
+        rest = set(range(n)) - set(cut)
+        start = min(rest)
+        seen, stack = {start}, [start]
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if u in rest and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen != rest
+
+    brute = sorted(grid.full_mask ^ sum(1 << v for v in cut) for cut in combinations(range(n), n - k) if separates(cut))
+
+    def best_of_two(f):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            out = f()
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    sweep_s, swept = best_of_two(lambda: graphs.disconnected_masks(grid, cuts.ksubset_masks(n, k)))
+    sweeps, floods = [], []
+    real_sweep, real_flood = cuts.ksubset_masks, graphs._flood
+    monkeypatch.setattr(cuts, "ksubset_masks", lambda *a: sweeps.append(a) or real_sweep(*a))
+    monkeypatch.setattr(graphs, "_flood", lambda *a: floods.append(a) or real_flood(*a))
+    assert disconnected_ksets(grid, k) == swept == brute
+    assert sweeps == [(n, k)]
+    # a give-up costs at most about one more sweep: C(n, k) floods, plus the
+    # floods that close a component which covered what was left of the graph
+    assert len(floods) <= 2 * comb(n, k) + n
+    monkeypatch.setattr(graphs, "_flood", real_flood)
+    call_s, _ = best_of_two(lambda: disconnected_ksets(grid, k))
+    assert call_s <= 3 * sweep_s  # about 2x, with room for timer noise

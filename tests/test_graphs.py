@@ -19,6 +19,7 @@ from cutcomplex import (
     induced_subgraph,
     is_chordal,
     is_connected_subset,
+    minimal_separators,
     parse_family,
     read_graph_text,
     shortest_cycle_length,
@@ -259,6 +260,52 @@ def test_subset_connectivity_matches_brute_force(n, p, seed, data):
     rest = set(range(n)) - subset  # a large set when hypothesis draws a small one
     if rest:
         assert is_connected_subset(g, rest) == brute_connected(g, rest)
+
+
+def _brute_minimal_separators(g):
+    """S is a minimal separator iff g - S has two components C with N(C) = S;
+    components by path search on vertex lists."""
+    out = []
+    for size in range(g.n + 1):
+        for sep in combinations(range(g.n), size):
+            rest = [v for v in range(g.n) if v not in sep]
+            full = 0
+            while rest:
+                comp, stack = {rest[0]}, [rest[0]]
+                while stack:
+                    v = stack.pop()
+                    for u in rest:
+                        if u not in comp and g.adj[v] >> u & 1:
+                            comp.add(u)
+                            stack.append(u)
+                rest = [v for v in rest if v not in comp]
+                full += all(any(g.adj[u] >> v & 1 for v in comp) for u in sep)
+            if full >= 2:
+                out.append(sum(1 << v for v in sep))
+    return sorted(out)
+
+
+def test_minimal_separators_examples():
+    assert minimal_separators(family("complete:5")) == []
+    assert minimal_separators(from_edge_list(0, [])) == []
+    # a disconnected graph: the empty set, plus the middle of its path
+    g = disjoint_union(family("path:3"), family("complete:2"))
+    assert minimal_separators(g) == [0, 0b10]
+    assert minimal_separators(family("edgeless:3")) == [0]
+    # C_n: the non-adjacent pairs; the antipodal pairs of C_6 and most of the
+    # 3x3 grid's separators come from the closure step, not from any N[v]
+    for n in (5, 6):
+        pairs = [1 << u | 1 << v for u, v in combinations(range(n), 2) if 1 < v - u < n - 1]
+        assert minimal_separators(family(f"cycle:{n}")) == sorted(pairs)
+    grid = cartesian_product(family("path:3"), family("path:3"))
+    assert minimal_separators(grid) == _brute_minimal_separators(grid)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_minimal_separators_match_brute_force(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    assert minimal_separators(g) == _brute_minimal_separators(g)
 
 
 def test_text_format_round_trip():
