@@ -25,28 +25,32 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# _BYTE_BITS[i][b]: the set bit positions of byte value b at byte offset i.
+# _BYTE_BITS[i][b]: the set bit positions of byte value b at byte offset i;
+# _BYTE_TEXT[i][b]: the same positions as text, joined by ", ".
 # Only the byte offsets that have held a set bit have a row, so memory follows
 # the offsets in use, not the highest one; a lookup elsewhere raises KeyError
 # and the row is built then. Each growth replaces the whole dict, so a
 # concurrent reader sees either table, and both are correct.
 _BYTE_BITS: dict[int, tuple[tuple[int, ...], ...]] = {}
+_BYTE_TEXT: dict[int, tuple[str, ...]] = {}
 
 
-def _add_rows(mask: int) -> None:
-    """Give every byte offset that holds a set bit of ``mask`` its row."""
-    global _BYTE_BITS
-    rows = dict(_BYTE_BITS)
+def _grown(table: dict, mask: int, empty, add) -> dict:
+    """A copy of ``table`` with a row for every byte offset that holds a set
+    bit of ``mask``; each entry starts from ``empty`` and takes its bits v in
+    increasing order through ``add(entry, v)``."""
+    rows = dict(table)
     for i in {v >> 3 for v in bits(mask)} - rows.keys():
-        row = [()]
+        row = [empty]
         for v in range(8 * i, 8 * i + 8):  # the values with bit v set follow those without
-            row += [t + (v,) for t in row]
+            row += [add(t, v) for t in row]
         rows[i] = tuple(row)
-    _BYTE_BITS = rows
+    return rows
 
 
 def to_tuple(mask: int) -> tuple[int, ...]:
     """The set bit positions of ``mask`` in increasing order, one byte at a time."""
+    global _BYTE_BITS
     rows = _BYTE_BITS
     out = ()
     rest = mask
@@ -62,9 +66,33 @@ def to_tuple(mask: int) -> tuple[int, ...]:
                 rest >>= skip << 3
                 i += skip
     except KeyError:  # a byte offset without its row yet
-        _add_rows(mask)
+        _BYTE_BITS = _grown(_BYTE_BITS, mask, (), lambda t, v: t + (v,))
         return to_tuple(mask)
     return out
+
+
+def to_text(mask: int) -> str:
+    """The set bit positions of ``mask`` in increasing order, joined by ", "
+    one byte at a time: the text ``json.dumps`` writes inside their list."""
+    global _BYTE_TEXT
+    rows = _BYTE_TEXT
+    parts = []
+    rest = mask
+    i = 0  # the byte offset of the low byte of rest
+    try:
+        while rest:
+            if rest & 255:
+                parts.append(rows[i][rest & 255])
+                rest >>= 8
+                i += 1
+            else:  # skip to the byte holding the lowest set bit
+                skip = ((rest & -rest).bit_length() - 1) >> 3
+                rest >>= skip << 3
+                i += skip
+    except KeyError:  # a byte offset without its row yet
+        _BYTE_TEXT = _grown(_BYTE_TEXT, mask, "", lambda t, v: f"{t}, {v}" if t else str(v))
+        return to_text(mask)
+    return ", ".join(parts)
 
 
 def submasks(mask: int) -> Iterator[int]:

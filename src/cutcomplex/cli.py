@@ -82,6 +82,12 @@ def _emit(report: dict, as_json: bool, human_lines):
             print(line)
 
 
+def _json_record(texts: dict[str, str]) -> str:
+    """The record whose values are the given JSON texts, written as
+    ``json.dumps(..., sort_keys=True)`` writes a record."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in sorted(texts.items())) + "}"
+
+
 def _homology_lines(rep, prefix=""):
     """One ``H~_i: rank ... torsion ...`` line per dimension with nonzero homology."""
     return [
@@ -229,15 +235,15 @@ def cmd_morse(args) -> int:
         "critical_census": {str(d): c for d, c in sorted(census.items())},
         "acyclic": acyclic,
     }
-    if args.json:  # the pair list is only printed in the JSON record
-        report["matching"] = matching.to_json_obj(census)
-    lines = [
-        f"graph: {args.graph}, k={args.k}",
-        f"pairs: {len(matching.pairs)}",
-        f"critical cells by dimension: {dict(sorted(census.items())) or '{}'}",
-        f"acyclic: {acyclic}",
-    ]
-    _emit(report, args.json, lines)
+    if args.json:  # the pair list is only printed in the JSON record, written as text
+        texts = {key: json.dumps(value, sort_keys=True) for key, value in report.items()}
+        texts["matching"] = _json_record({"critical_census": texts["critical_census"], "pairs": matching.pairs_json()})
+        print(_json_record(texts))
+        return 0
+    print(f"graph: {args.graph}, k={args.k}")
+    print(f"pairs: {len(matching.pairs)}")
+    print(f"critical cells by dimension: {dict(sorted(census.items())) or '{}'}")
+    print(f"acyclic: {acyclic}")
     return 0
 
 

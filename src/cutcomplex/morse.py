@@ -14,17 +14,20 @@ Acyclicity is never assumed: ``verify_acyclic_and_critical`` runs cycle
 detection on the Hasse diagram with matched edges reversed upward. Only
 faces matched upward can lie on a cycle (Forman, "Morse theory for cell
 complexes", 1998: closed V-paths alternate between two adjacent
-dimensions), so the check visits those faces alone. This
-module only reports critical-cell censuses; homotopy conclusions are left to
-callers pairing them with homology.
+dimensions), so the check probes the facets of the faces matched upward
+alone, and runs Kahn's algorithm only on the faces that have an edge among
+them. This module only reports critical-cell censuses; homotopy conclusions
+are left to callers pairing them with homology.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import gt, xor
 
-from .bitsets import bits, to_tuple
+from .bitsets import bits, to_text
 from .complexes import SimplicialComplex
 from .cuts import cut_complex
 from .graphs import Graph, from_edge_list, has_triangle
@@ -36,11 +39,7 @@ class MorseMatching:
     pairs: tuple[tuple[int, int], ...]
 
     def matched_faces(self) -> frozenset:
-        out = set()
-        for s, t in self.pairs:
-            out.add(s)
-            out.add(t)
-        return frozenset(out)
+        return frozenset(chain.from_iterable(self.pairs))
 
     def critical_faces(self) -> frozenset:
         return self.complex.face_set() - self.matched_faces()
@@ -52,15 +51,10 @@ class MorseMatching:
             census[d] = census.get(d, 0) + 1
         return census
 
-    def to_json_obj(self, census: dict[int, int] | None = None):
-        """Pairs as vertex lists and the critical census; pass ``census``
-        when it is already known, as ``verify_acyclic_and_critical`` returns it."""
-        if census is None:
-            census = self.critical_census()
-        return {
-            "pairs": [[list(to_tuple(s)), list(to_tuple(t))] for s, t in self.pairs],
-            "critical_census": {str(d): c for d, c in sorted(census.items())},
-        }
+    def pairs_json(self) -> str:
+        """The pairs as JSON text, the bytes ``json.dumps`` writes for a list
+        of [vertices of s, vertices of t] per pair."""
+        return "[" + ", ".join([f"[[{to_text(s)}], [{to_text(t)}]]" for s, t in self.pairs]) + "]"
 
 
 def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatching:
@@ -93,47 +87,41 @@ def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]
     """Validate the pairing structurally, then test acyclicity of the
     modified Hasse diagram (matched covers point up, the rest point down)
     on the faces matched upward."""
-    face_set = m.complex.face_set()
-    seen = set()
-    up = {}
-    for s, t in m.pairs:
-        if s not in face_set or t not in face_set:
-            raise ValueError("matched pair involves a non-face")
-        diff = s ^ t
-        if s & ~t or diff.bit_count() != 1:
-            raise ValueError("matched pair does not differ by one vertex")
-        if s in seen or t in seen:
-            raise ValueError("face appears in more than one pair")
-        seen.add(s)
-        seen.add(t)
-        up[s] = t
+    up = dict(m.pairs)
+    matched = up.keys() | up.values()
+    if not matched <= m.complex.face_set():
+        raise ValueError("matched pair involves a non-face")
+    # t = s ∪ {v} with v ∉ s: t differs from s in one bit, and t holds it
+    if not all(map(gt, up.values(), up)) or any(d.bit_count() != 1 for d in set(map(xor, up.values(), up))):
+        raise ValueError("matched pair does not differ by one vertex")
+    if len(matched) != 2 * len(m.pairs):  # dict(pairs) also folds a repeated pair
+        raise ValueError("face appears in more than one pair")
 
     # A cycle of the modified Hasse diagram cannot climb two dimensions: a face
     # reached by an up-edge is matched down and has no up-edge, so it steps
     # down next. Every cycle therefore alternates between two adjacent
-    # dimensions through faces matched upward, and Kahn's algorithm runs on
-    # those faces only: σ -> σ' for each facet σ' != σ of up[σ] with σ' in up.
+    # dimensions through faces matched upward: σ -> σ' for each facet σ' != σ
+    # of up[σ] with σ' in up. Few faces have such an edge, and Kahn's
+    # algorithm runs on those alone.
     succ = {}
     for s, t in up.items():
-        targets = []
         rest = s
         while rest:  # each facet t - v of t with v in s, by the lowest set bit of s
             low = rest & -rest
             rest ^= low
             if t ^ low in up:
-                targets.append(t ^ low)
-        succ[s] = targets
-    indeg = Counter(f for targets in succ.values() for f in targets)
-    queue = [s for s in up if not indeg[s]]
-    visited = 0
+                succ.setdefault(s, []).append(t ^ low)
+    indeg = Counter(chain.from_iterable(succ.values()))
+    left = indeg.total()  # Kahn's algorithm removes every edge iff there is no cycle
+    queue = [s for s in succ if not indeg[s]]
     while queue:
         s = queue.pop()
-        visited += 1
-        for f in succ[s]:
+        for f in succ.get(s, ()):
+            left -= 1
             indeg[f] -= 1
             if indeg[f] == 0:
                 queue.append(f)
-    return visited == len(up), m.critical_census()
+    return not left, m.critical_census()
 
 
 def _bfs(g: Graph, root: int) -> tuple[list[int], list[tuple[int, int]]]:

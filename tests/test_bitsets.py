@@ -47,3 +47,17 @@ def test_to_tuple_on_kneser_neighbourhoods():
 @given(st.integers(0, (1 << 300) - 1))
 def test_to_tuple_matches_bits(m):
     assert to_tuple(m) == tuple(bits(m))
+
+
+def test_to_text_builds_rows_only_for_used_byte_offsets(monkeypatch):
+    monkeypatch.setattr(bitsets, "_BYTE_TEXT", {})  # start from an empty text table
+    sparse = [(1 << 1_000_000) | 1, 1 << 20_003]
+    for m in WIDE_MASKS + sparse:
+        assert bitsets.to_text(m) == ", ".join(map(str, bits(m)))
+    assert len(bitsets._BYTE_TEXT) == 28 + 2  # 220 bits, then offsets 2,500 and 125,000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 300) - 1))
+def test_to_text_matches_bits(m):
+    assert bitsets.to_text(m) == ", ".join(map(str, bits(m)))
