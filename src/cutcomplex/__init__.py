@@ -15,7 +15,6 @@ from .cuts import (
     disconnected_ksets,
     facets_via_ridges,
     forest_betti,
-    no_short_cycle_guarantee,
     predicted_betti,
     realize_as_cut_complex,
     skeleton_condition_euler,

@@ -142,10 +142,11 @@ def cmd_build(args) -> int:
     holds, mu_formula = _formula_mu(g, cx)
     report["skeleton_condition"] = holds
     report["mu_census_formula"] = mu_formula
+    ok = not holds or mu_formula == report["mu"]
     if holds:
-        lines.append(f"census formula agrees: mu = {mu_formula}")
+        lines.append(f"census formula {'agrees' if ok else 'MISMATCH'}: mu = {mu_formula}")
     _emit(report, args.json, lines)
-    return 0
+    return 0 if ok else MISMATCH
 
 
 def cmd_homology(args) -> int:

@@ -5,8 +5,9 @@ of the k-subsets that induce disconnected subgraphs; its facets are the
 separating (n-k)-sets. This module holds everything specific to that
 construction: enumeration of disconnected k-sets (from the graph's
 minimal separators, or by a sweep of all k-sets when that is cheaper), the
-connected-subset census, the complete-skeleton condition with its antichain
-Euler formula, ridge recursion between consecutive k, realization of
+connected-subset census, the census formula for the reduced Euler
+characteristic when the complex holds the complete skeleton of its ridge
+dimension, ridge recursion between consecutive k, realization of
 arbitrary pure complexes as cut complexes of chordal graphs, and the
 closed-form Betti predictions for the graph families with known answers.
 
@@ -108,22 +109,18 @@ def facets_via_ridges(cx: SimplicialComplex, k: int) -> list[int]:
     return sorted(r for r, c in counts.items() if c >= k)
 
 
-def no_short_cycle_guarantee(g: Graph, k: int) -> bool:
-    """Fast sufficient condition for the complete-skeleton property: no cycle
-    of length <= k+1."""
-    girth = shortest_cycle_length(g)
-    return girth is None or girth > k + 1
-
-
 def skeleton_condition_euler(g: Graph, cx: SimplicialComplex) -> tuple[bool, int | None]:
-    """Check whether ``cx``, the k-cut complex of ``g``, contains a complete
-    skeleton one dimension below its ridges; when it does, return the reduced
+    """Check whether ``cx``, the k-cut complex of ``g``, contains the complete
+    skeleton of its ridge dimension n-k-2; when it does, return the reduced
     Euler characteristic from the census formula.
 
     The disconnected k-sets are the complements of the facets, and k is n
-    minus the facet size. The condition: for every connected k-subset A and
-    every x outside A there is a y in A with (A - y) + x disconnected. When
-    it holds, (-1)^(n-k-1) * mu = C(n-1, k-1) - #(connected k-subsets).
+    minus the facet size. The paper states the condition as: for every
+    connected k-subset A and every x outside A there is a y in A with
+    (A - y) + x disconnected. The k-subsets of A + x other than A are these
+    (A - y) + x, so it says that every (k+1)-set holds a disconnected k-set,
+    that is, every (n-k-1)-set is a face. When it holds,
+    (-1)^(n-k-1) * mu = C(n-1, k-1) - #(connected k-subsets).
     """
     if cx.is_void:
         raise ValueError("void cut complex: the condition does not apply")
@@ -131,20 +128,10 @@ def skeleton_condition_euler(g: Graph, cx: SimplicialComplex) -> tuple[bool, int
     k = n - cx.facets[0].bit_count()
     if not (2 <= k <= n - 1):
         raise ValueError("condition needs 2 <= k <= n-1")
-    full = g.full_mask
-    disconnected = {full ^ f for f in cx.facets}
-    z = comb(n, k) - len(disconnected)
-    mu = (comb(n - 1, k - 1) - z) * (-1 if (n - k - 1) % 2 else 1)
-    if no_short_cycle_guarantee(g, k):
-        return True, mu
-    for m in ksubset_masks(n, k):
-        if m in disconnected:
-            continue
-        for x in bits(full & ~m):
-            xbit = 1 << x
-            if not any((m ^ (1 << y)) | xbit in disconnected for y in bits(m)):
-                return False, None
-    return True, mu
+    if cx.complete_skeleton_dim() < n - k - 2:
+        return False, None
+    z = comb(n, k) - len(cx.facets)
+    return True, (comb(n - 1, k - 1) - z) * (-1 if (n - k - 1) % 2 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +140,11 @@ def skeleton_condition_euler(g: Graph, cx: SimplicialComplex) -> tuple[bool, int
 
 def realize_as_cut_complex(cx: SimplicialComplex) -> tuple[Graph, int]:
     """Produce a chordal graph G and k with cut_complex(G, k) equal to
-    ``relabel_densely(cx)``. Complex vertices come first in G, one apex per
-    facet after them.
+    ``relabel_densely(cx)``: a clique on the complex vertices, then one apex
+    per facet joined to that facet's vertices. A lone facet is listed
+    max(nv, 2) times, so a single vertex becomes the 2-cut complex of the
+    3-vertex star and a full simplex that of a clique with one apex per
+    clique vertex.
 
     The input must be pure, nonvoid, and have at least one vertex.
     """
@@ -164,21 +154,14 @@ def realize_as_cut_complex(cx: SimplicialComplex) -> tuple[Graph, int]:
         raise ValueError("realization needs a pure complex")
     facets = relabel_densely(cx).facets
     nv = len(cx.vertices())
-    t = len(facets)
-    d = cx.dim
-    if t > 1:
-        edges = list(combinations(range(nv), 2))
-        for j, f in enumerate(facets):
-            apex = nv + j
-            edges.extend((u, apex) for u in bits(f))
-        return from_edge_list(nv + t, edges), nv + t - (d + 1)
-    if nv == 1:
-        # a single vertex is the 2-cut complex of the 3-vertex star
-        return from_edge_list(3, [(0, 1), (0, 2)]), 2
-    # a full simplex: clique plus one apex per clique vertex
+    if len(facets) == 1:
+        facets *= max(nv, 2)
+    n = nv + len(facets)
     edges = list(combinations(range(nv), 2))
-    edges += [(u, nv + j) for j in range(nv) for u in range(nv)]
-    return from_edge_list(2 * nv, edges), nv
+    for j, f in enumerate(facets):
+        apex = nv + j
+        edges.extend((u, apex) for u in bits(f))
+    return from_edge_list(n, edges), n - (cx.dim + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +199,12 @@ class BettiPrediction:
 
     def matches(self, cx: SimplicialComplex, report) -> bool:
         """Compare against a computed complex and its homology report (the
-        report may be None when the complex is void)."""
+        report may be None when the complex is void). A contractible
+        prediction has no dimension, so it asks for every rank to be zero."""
         if self.status == "void":
             return cx.is_void
         if cx.is_void or report is None:
             return False
-        if self.status == "contractible":
-            return report.is_free() and all(r == 0 for r in report.ranks.values())
         return report.free_concentrated(self.dim, self.count)
 
     def to_json_obj(self):

@@ -88,13 +88,16 @@ def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]
     modified Hasse diagram (matched covers point up, the rest point down)
     on the faces matched upward."""
     up = dict(m.pairs)
-    matched = up.keys() | up.values()
-    if not matched <= m.complex.face_set():
-        raise ValueError("matched pair involves a non-face")
     # t = s ∪ {v} with v ∉ s: t differs from s in one bit, and t holds it
     if not all(map(gt, up.values(), up)) or any(d.bit_count() != 1 for d in set(map(xor, up.values(), up))):
         raise ValueError("matched pair does not differ by one vertex")
-    if len(matched) != 2 * len(m.pairs):  # dict(pairs) also folds a repeated pair
+    # The census subtracts the set of paired faces from the faces: it leaves
+    # all but 2p of them iff the 2p faces of the p pairs are distinct faces.
+    faces = m.complex.face_set()
+    census = m.critical_census()
+    if sum(census.values()) != len(faces) - 2 * len(m.pairs):
+        if not faces.issuperset(chain.from_iterable(m.pairs)):
+            raise ValueError("matched pair involves a non-face")
         raise ValueError("face appears in more than one pair")
 
     # A cycle of the modified Hasse diagram cannot climb two dimensions: a face
@@ -121,7 +124,7 @@ def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]
             indeg[f] -= 1
             if indeg[f] == 0:
                 queue.append(f)
-    return not left, m.critical_census()
+    return not left, census
 
 
 def _bfs(g: Graph, root: int) -> tuple[list[int], list[tuple[int, int]]]:

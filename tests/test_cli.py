@@ -189,6 +189,19 @@ def test_build_sweeps_the_ksets_once(monkeypatch, capsys):
     assert calls == [3]
 
 
+def test_build_reports_a_census_formula_mismatch(monkeypatch, capsys):
+    import cutcomplex.cli as cli
+
+    code, out, _ = run(capsys, "build", "cycle:7", "--k", "3")
+    assert code == 0 and "census formula agrees: mu = -8" in out.splitlines()
+    monkeypatch.setattr(cli, "skeleton_condition_euler", lambda g, cx: (True, 5))
+    code, out, _ = run(capsys, "build", "cycle:7", "--k", "3")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["reduced Euler characteristic: -8", "census formula MISMATCH: mu = 5"]
+    code, out, _ = run(capsys, "build", "cycle:7", "--k", "3", "--json")
+    assert code == 1 and json.loads(out)["mu_census_formula"] == 5
+
+
 def test_realize_malformed_input_exits_2(tmp_path, capsys):
     for i, text in enumerate(['{"facets": [[0, 1]]}', "[1, 2]", "{not json", '{"facets": [["a"]], "ambient": 2}',
                               '{"state": "void"}']):

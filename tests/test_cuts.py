@@ -22,7 +22,6 @@ from cutcomplex import (
     graph_join,
     induced_subgraph,
     is_chordal,
-    no_short_cycle_guarantee,
     predicted_betti,
     realize_as_cut_complex,
     reduced_homology,
@@ -33,7 +32,7 @@ from cutcomplex import (
 )
 from cutcomplex import cuts, graphs
 from cutcomplex.complexes import relabel_densely
-from conftest import RP2_FACETS, brute_connected, random_forest, random_graph
+from conftest import RP2_FACETS, brute_connected, brute_girth, random_forest, random_graph
 
 FIG2 = from_edge_list(5, [(0, 2), (0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
 
@@ -207,10 +206,75 @@ def test_skeleton_condition_errors():
         skeleton_condition_euler(g, cut_complex(g, 4))
 
 
-def test_no_short_cycle_guarantee():
-    assert no_short_cycle_guarantee(family("cycle:5"), 2)  # girth 5 > 3
-    assert not no_short_cycle_guarantee(family("cycle:5"), 4)
-    assert no_short_cycle_guarantee(family("tree:0-1,1-2"), 5)
+def _paper_condition(g, k) -> bool:
+    """The condition as the paper states it: for every connected k-set A and
+    every x outside A, some y in A leaves (A - y) + x disconnected."""
+    for a in combinations(range(g.n), k):
+        if not brute_connected(g, a):
+            continue
+        for x in set(range(g.n)) - set(a):
+            if all(brute_connected(g, (set(a) - {y}) | {x}) for y in a):
+                return False
+    return True
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A graph on up to 8 vertices whose last zero to two vertices have no
+    edge, with a k in 2..n-1."""
+    n = draw(st.integers(3, 8))
+    core = n - draw(st.integers(0, 2))
+    edges = [e for e in combinations(range(core), 2) if draw(st.booleans())]
+    return from_edge_list(n, edges), draw(st.integers(2, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_isolated_vertices())
+@example((from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4)]), 3))  # a triangle, an edge, a lone vertex
+@example((from_edge_list(5, list(combinations(range(4), 2))), 2))  # every facet misses vertex 4
+@example((family("figure_eight:3,4"), 3))
+def test_skeleton_condition_is_the_paper_condition(case):
+    g, k = case
+    cx = cut_complex(g, k)
+    if cx.is_void:
+        return
+    assert skeleton_condition_euler(g, cx)[0] == _paper_condition(g, k)
+
+
+@st.composite
+def graphs_of_girth_above_k_plus_one(draw):
+    """A cycle of length 4 or more, or none, with trees hung on it, on up to
+    8 vertices, and a k below the cycle length minus one."""
+    n = draw(st.integers(3, 8))
+    length = draw(st.sampled_from([0, *range(4, n + 1)]))
+    edges = [(v, (v + 1) % length) for v in range(length)]
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(max(length, 1), n) if draw(st.booleans())]
+    return from_edge_list(n, edges), draw(st.integers(2, length - 2 if length else n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_girth_above_k_plus_one())
+@example((family("petersen"), 3))
+def test_girth_above_k_plus_one_gives_the_skeleton_condition(case):
+    g, k = case
+    girth = brute_girth(g)
+    assert girth is None or girth > k + 1
+    cx = cut_complex(g, k)
+    if not cx.is_void:
+        assert skeleton_condition_euler(g, cx)[0]
+
+
+def test_skeleton_condition_runs_no_sweep(monkeypatch):
+    g = family("figure_eight:3,4")  # a triangle wedged with a 4-cycle
+    complexes = {k: cut_complex(g, k) for k in (3, 4)}
+
+    def refuse(*args):
+        raise AssertionError("the condition swept the graph")
+
+    monkeypatch.setattr(cuts, "ksubset_masks", refuse)
+    monkeypatch.setattr(cuts, "shortest_cycle_length", refuse)
+    assert skeleton_condition_euler(g, complexes[3]) == (False, None)
+    assert skeleton_condition_euler(g, complexes[4]) == (True, -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,6 +307,17 @@ def test_realize_single_vertex_and_simplex():
     g, k = realize_as_cut_complex(simplex)
     assert (g.n, k) == (6, 3)
     assert cut_complex(g, k) == simplex
+
+
+def test_realize_lone_facet_takes_the_general_construction():
+    for nv in range(1, 9):
+        simplex = from_facets([tuple(range(0, 3 * nv, 3))])  # gapped vertex numbers
+        g, k = realize_as_cut_complex(simplex)
+        apexes = max(nv, 2)
+        edges = list(combinations(range(nv), 2)) + [(u, nv + j) for j in range(apexes) for u in range(nv)]
+        assert (g, k) == (from_edge_list(nv + apexes, edges), apexes)
+        assert cut_complex(g, k) == relabel_densely(simplex)
+        assert is_chordal(g)[0]
 
 
 def test_realize_rp2():
