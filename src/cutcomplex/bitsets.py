@@ -10,7 +10,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
-def mask_of(vertices: Iterable[int]) -> int:
+def mask_of(vertices: int | Iterable[int]) -> int:
+    """The bitmask of a vertex set given as a bitmask (returned unchanged) or
+    as an iterable of vertex indices."""
+    if isinstance(vertices, int):
+        return vertices
     m = 0
     for v in vertices:
         m |= 1 << v

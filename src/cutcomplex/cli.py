@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from math import comb
 
-from .bitsets import to_tuple
+from .bitsets import mask_of, to_tuple
 from .complexes import SimplicialComplex, relabel_densely
 from .cuts import (
     NotCoveredError,
@@ -27,7 +28,6 @@ from .cuts import (
 )
 from .graphs import (
     FAMILIES,
-    FamilySpecError,
     Graph,
     family,
     is_chordal,
@@ -61,10 +61,7 @@ def _load_graph(arg: str) -> tuple[Graph, str | None]:
                 return read_graph_text(fh.read()), None
         except (OSError, ValueError) as e:
             raise CliError(f"cannot read graph file {arg}: {e}") from None
-    try:
-        return family(arg), parse_family(arg)[0]
-    except FamilySpecError as e:
-        raise CliError(str(e)) from None
+    return family(arg), parse_family(arg)[0]
 
 
 def _facet_str(g: Graph, mask: int) -> str:
@@ -190,48 +187,42 @@ def cmd_shell(args) -> int:
         tors = f" torsion {list(torsion)}" if torsion else ""
         lines.append(f"obstruction: H~_{dim}: rank {rank}{tors} below the top dimension {cx.dim}")
     if cert.order and not args.json:
-        lines.append("order: " + " ".join(_facet_str(g, sum(1 << v for v in f)) for f in cert.order))
+        lines.append("order: " + " ".join(_facet_str(g, mask_of(f)) for f in cert.order))
     _emit(report, args.json, lines)
     return 0
 
 
-def _morse_order(args, g: Graph, name: str | None):
+def _morse_matching(args, g: Graph, name: str | None):
+    """The record's "order" value and the matching that ``--order`` names."""
     spec = args.order
-    if spec == "tree":
-        if args.k != 2:
-            raise CliError("the tree matching targets k = 2")
-        return tree_matching_order(g, 0), None
-    if spec == "prism":
-        if name != "prism":
-            raise CliError("the prism order needs a prism:<n> graph argument")
-        n = g.n // 2
-        return prism_matching_order(n, args.k), None
     if spec == "restricted":
         if args.k != 2:
             raise CliError("the restricted matching targets k = 2")
-        return None, restricted_matching(g)
-    try:
-        order = tuple(int(x) for x in spec.split(","))
-    except ValueError:
-        raise CliError(f"bad --order {spec!r}: expected tree|prism|restricted|comma list") from None
-    for v in order:
-        if not 0 <= v < g.n:
-            raise CliError(f"bad --order {spec!r}: vertex {v} is not in 0..{g.n - 1}")
-    return order, None
+        return spec, restricted_matching(g)
+    if spec == "tree":
+        if args.k != 2:
+            raise CliError("the tree matching targets k = 2")
+        order = tree_matching_order(g, 0)
+    elif spec == "prism":
+        if name != "prism":
+            raise CliError("the prism order needs a prism:<n> graph argument")
+        order = prism_matching_order(g.n // 2, args.k)
+    else:
+        try:
+            order = tuple(int(x) for x in spec.split(","))
+        except ValueError:
+            raise CliError(f"bad --order {spec!r}: expected tree|prism|restricted|comma list") from None
+    return list(order), element_matching_sequence(cut_complex(g, args.k), order)
 
 
 def cmd_morse(args) -> int:
     g, name = _load_graph(args.graph)
-    order, prebuilt = _morse_order(args, g, name)
-    if prebuilt is not None:
-        matching = prebuilt
-    else:
-        matching = element_matching_sequence(cut_complex(g, args.k), order)
+    order, matching = _morse_matching(args, g, name)
     acyclic, census = verify_acyclic_and_critical(matching)
     report = {
         "graph": args.graph,
         "k": args.k,
-        "order": list(order) if order is not None else "restricted",
+        "order": order,
         "pairs": len(matching.pairs),
         "critical_census": {str(d): c for d, c in sorted(census.items())},
         "acyclic": acyclic,
@@ -454,6 +445,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a reader that closes the pipe early (``| head``) ends the process as it
+    # ends other filters, not with a traceback and the mismatch exit code
+    sigpipe = getattr(signal, "SIGPIPE", None)
+    if sigpipe is not None:
+        signal.signal(sigpipe, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -58,7 +58,7 @@ class SimplicialComplex:
         """Build the complex generated by ``faces`` (bitmasks or vertex
         iterables). An empty list gives the void complex; ``[()]`` gives the
         complex whose only face is the empty set."""
-        masks = [f if isinstance(f, int) else mask_of(f) for f in faces]
+        masks = [mask_of(f) for f in faces]
         if any(m < 0 for m in masks):
             raise ValueError("faces must be nonnegative bitmasks")
         self._facets = _normalize(masks)
@@ -116,10 +116,7 @@ class SimplicialComplex:
     @property
     def is_pure(self) -> bool:
         """All facets share one dimension (vacuously true for the void complex)."""
-        if self.is_void:
-            return True
-        sizes = {f.bit_count() for f in self._facets}
-        return len(sizes) == 1
+        return len({f.bit_count() for f in self._facets}) <= 1
 
     def vertices(self) -> tuple[int, ...]:
         return to_tuple(self._support)
@@ -152,9 +149,7 @@ class SimplicialComplex:
         return self._faces
 
     def has_face(self, sigma) -> bool:
-        m = sigma if isinstance(sigma, int) else mask_of(sigma)
-        if self._faces is not None:
-            return m in self._faces
+        m = mask_of(sigma)
         return any(m & ~f == 0 for f in self._facets)
 
     def faces_by_dim(self) -> dict[int, list[int]]:
@@ -201,29 +196,22 @@ class SimplicialComplex:
 
     # -- local constructions ----------------------------------------------
 
-    def _require_nonvoid(self):
-        if self.is_void:
-            raise ValueError("operation undefined on the void complex")
-
     def link(self, sigma) -> SimplicialComplex:
         """Link of a face; the link of a non-face is the void complex."""
-        self._require_nonvoid()
-        m = sigma if isinstance(sigma, int) else mask_of(sigma)
+        m = mask_of(sigma)
         return SimplicialComplex(
             [f & ~m for f in self._facets if m & ~f == 0], ambient=self.ambient
         )
 
     def star(self, sigma) -> SimplicialComplex:
-        self._require_nonvoid()
-        m = sigma if isinstance(sigma, int) else mask_of(sigma)
+        m = mask_of(sigma)
         return SimplicialComplex(
             [f for f in self._facets if m & ~f == 0], ambient=self.ambient
         )
 
     def deletion(self, sigma) -> SimplicialComplex:
         """Faces not containing sigma; deleting ∅ leaves the void complex."""
-        self._require_nonvoid()
-        m = sigma if isinstance(sigma, int) else mask_of(sigma)
+        m = mask_of(sigma)
         out = []
         for f in self._facets:
             if m & ~f:

@@ -320,7 +320,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def _as_mask(g: Graph, S) -> int:
-    m = S if isinstance(S, int) else mask_of(S)
+    m = mask_of(S)
     if m & ~g.full_mask:
         raise ValueError("vertex out of range")
     return m

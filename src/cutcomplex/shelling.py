@@ -56,10 +56,6 @@ class ShellingCertificate:
     void_input: bool = False
     obstruction: Obstruction | None = None
 
-    @property
-    def is_shellable(self) -> bool:
-        return self.verdict == "shellable"
-
     def to_json_obj(self):
         obj = {
             "verdict": self.verdict,
@@ -74,7 +70,7 @@ class ShellingCertificate:
 
 
 def _facet_permutation(cx: SimplicialComplex, order):
-    masks = [f if isinstance(f, int) else mask_of(f) for f in order]
+    masks = [mask_of(f) for f in order]
     if sorted(masks) != sorted(cx.facets):
         raise ValueError("order is not a permutation of the facets")
     return masks
@@ -83,16 +79,13 @@ def _facet_permutation(cx: SimplicialComplex, order):
 def verify_shelling_order(cx: SimplicialComplex, order) -> tuple[bool, tuple[int, int] | None]:
     """Check the pairwise criterion; on rejection also return the first
     failing (i, j) pair of positions."""
-    if cx.is_void:
-        _facet_permutation(cx, order)
-        return True, None
     if not cx.is_pure:
         raise ValueError("shelling is only defined here for pure complexes")
     masks = _facet_permutation(cx, order)
-    size = masks[0].bit_count()
     for j in range(1, len(masks)):
         fj = masks[j]
-        covers = [masks[k] & fj for k in range(j) if (masks[k] & fj).bit_count() == size - 1]
+        ridge = fj.bit_count() - 1
+        covers = [masks[k] & fj for k in range(j) if (masks[k] & fj).bit_count() == ridge]
         for i in range(j):
             inter = masks[i] & fj
             if not any(inter & ~c == 0 for c in covers):

@@ -14,6 +14,11 @@ WIDE_MASKS = [
 ]
 
 
+def test_mask_of_takes_a_mask_or_vertices():
+    assert mask_of(5) == 5
+    assert mask_of((0, 2)) == 5
+
+
 def test_to_tuple_grows_its_table_for_wide_masks(monkeypatch):
     monkeypatch.setattr(bitsets, "_BYTE_BITS", {})  # start from an empty table
     for m in WIDE_MASKS + WIDE_MASKS[::-1]:  # widening, then narrowing

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -343,3 +344,24 @@ def test_huge_graph_header_exits_2_under_an_address_space_cap(tmp_path):
     )
     assert _one_error_line(done.returncode, done.stdout, done.stderr), done.stderr
     assert "1000000000000 vertices" in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize("argv", [("build", "path:18", "--k", "5"), ("morse", "prism:7", "--k", "3", "--order", "prism", "--json")])
+def test_closed_output_pipe_ends_the_cli_quietly(argv):
+    # each command prints more than a pipe buffer holds, so it is still
+    # writing when the reader goes away after one byte
+    src = str(Path(cutcomplex.__file__).parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from cutcomplex.cli import entry; entry()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+    assert code == -signal.SIGPIPE

@@ -145,13 +145,15 @@ def test_skeleton_at_or_above_the_dimension_is_the_complex_itself():
 
 
 def test_degenerate_constructions_keep_the_ambient():
-    # a non-face has an empty link, ∅ leaves nothing when deleted, and a join
-    # with the void complex is void: each over the ambient of the operands
+    # a non-face has an empty link, ∅ leaves nothing when deleted, a join with
+    # the void complex is void, and so are the link, star and deletion of the
+    # void complex: each over the ambient of the operands
     cx = from_facets([(0, 1)], ambient=4)
     empty = from_facets([()], ambient=2)
     void = from_facets([], ambient=3)
     for out, ambient in ((cx.link((2,)), 4), (cx.deletion(0), 4), (empty.link(1), 2), (empty.deletion(0), 2),
-                         (cx.join(void), 7), (void.join(empty), 5), (void.join(void), 6)):
+                         (cx.join(void), 7), (void.join(empty), 5), (void.join(void), 6),
+                         (void.link(0), 3), (void.star((1,)), 3), (void.deletion(0), 3)):
         assert out.is_void and out.ambient == ambient
     assert empty.link(0) == empty and empty.deletion(1) == empty
     assert empty.join(empty).is_empty_complex and empty.join(empty).ambient == 4

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
+    BettiPrediction,
     FamilySpecError,
     NotCoveredError,
     cartesian_product,
@@ -403,6 +404,12 @@ def test_every_closed_form_matches_computed_homology():
             cx = cut_complex(g, k)
             rep = None if cx.is_void else reduced_homology(cx)
             assert pred.matches(cx, rep), (spec, k, pred)
+
+
+def test_no_sphere_prediction_matches_the_void_complex():
+    void = from_facets([], ambient=4)
+    for pred in (BettiPrediction.wedge(1, 2), BettiPrediction.wedge(1, 0)):  # a wedge; contractible
+        assert not pred.matches(void, None)
 
 
 def test_forest_betti_at_k_equal_n():

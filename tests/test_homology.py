@@ -152,6 +152,7 @@ def test_homology_of_empty_complex():
 def test_homology_mobius():
     rep = reduced_homology(cut_complex(family("cycle:5"), 2))
     assert rep.free_concentrated(1, 1)
+    assert not rep.free_concentrated(1, 2) and not rep.free_concentrated(0, 1)
 
 
 def test_homology_sphere():
@@ -166,6 +167,7 @@ def test_homology_rp2_torsion():
     assert not rep.is_free()
     assert rep.torsion_at(1) == (2,)
     assert all(rep.betti(i) == 0 for i in rep.ranks)
+    assert not rep.free_concentrated(1, 0)  # all ranks are zero, but ℤ/2 is not free
 
 
 def test_homology_two_points():
