@@ -15,19 +15,23 @@ the public ``alexander_dual()`` is taken over the ambient set. Faces are
 listed only when a caller needs each one, such as a Morse matching, and are
 then memoized. With a small dual they come from it: a subset of the support
 is a face iff its complement in the support is not a dual face. Otherwise the
-submasks of every facet are walked. The lazy caches are write-once and
-idempotent, so complexes stay safe to share across threads.
+submasks of every facet are walked. A cut complex whose facets cover its
+graph's vertices remembers the graph and k, and counts its faces from the
+connected k-sets of the graph instead, which never lists the dual's
+complete skeleton. The lazy caches are write-once and idempotent, so
+complexes stay safe to share across threads.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
 
 from .bitsets import bits, mask_of, submasks, to_tuple
+from .graphs import connected_levels
 
 NEG_INF = float("-inf")
 _UNDECIDED = object()  # the small-dual memo before it is computed
@@ -36,23 +40,31 @@ _UNDECIDED = object()  # the small-dual memo before it is computed
 def _normalize(face_masks):
     """Deduplicate and drop non-maximal faces; returns sorted facet tuple.
 
-    Distinct faces of one size never contain each other, so each face is
-    tested only against the kept faces of strictly larger size."""
-    masks = sorted(set(face_masks), key=lambda m: (-m.bit_count(), m))
+    Distinct faces of one size never contain each other, so the faces are
+    bucketed by size and each is tested only against the kept faces of
+    strictly larger size; the largest size, which holds every facet of a
+    pure complex, is kept whole."""
+    by_size = defaultdict(list)
+    for m in set(face_masks):
+        by_size[m.bit_count()].append(m)
     keep: list[int] = []
-    larger: tuple[int, ...] = ()  # the kept faces larger than the current size
-    size = -1
-    for m in masks:
-        if m.bit_count() != size:
-            size, larger = m.bit_count(), tuple(keep)
-        if not any(m & ~f == 0 for f in larger):
-            keep.append(m)
+    for size in sorted(by_size, reverse=True):
+        bucket = by_size[size]
+        if keep:
+            larger = tuple(keep)
+            bucket = [m for m in bucket if not any(m & ~f == 0 for f in larger)]
+        keep += bucket
     keep.sort()
     return tuple(keep)
 
 
+def _top_dim(facets) -> int | float:
+    """The largest facet dimension; -inf for the void complex."""
+    return max(map(int.bit_count, facets), default=NEG_INF) - 1
+
+
 class SimplicialComplex:
-    __slots__ = ("_facets", "ambient", "_support", "_faces", "_fvec", "_dual")
+    __slots__ = ("_facets", "ambient", "_dim", "_support", "_faces", "_fvec", "_dual", "_cut", "_levels")
 
     def __init__(self, faces, ambient: int | None = None):
         """Build the complex generated by ``faces`` (bitmasks or vertex
@@ -62,6 +74,7 @@ class SimplicialComplex:
         if any(m < 0 for m in masks):
             raise ValueError("faces must be nonnegative bitmasks")
         self._facets = _normalize(masks)
+        self._dim = _top_dim(self._facets)
         self._support = reduce(or_, self._facets, 0)
         top = self._support.bit_length()
         if ambient is None:
@@ -72,6 +85,8 @@ class SimplicialComplex:
         self._faces = None
         self._fvec = None
         self._dual = _UNDECIDED
+        self._cut = None  # (g, k) when cuts.cut_complex built this over all of V(g)
+        self._levels = _UNDECIDED  # the connected-set memo before it is computed
 
     @classmethod
     def _from_faces(cls, faces: set, ambient: int) -> SimplicialComplex:
@@ -83,10 +98,13 @@ class SimplicialComplex:
         cx._facets = tuple(sorted(
             m for m in faces if not any((m | b) in faces for b in singles if not m & b)
         ))
+        cx._dim = _top_dim(cx._facets)
         cx.ambient = ambient
         cx._faces = frozenset(faces)
         cx._fvec = None
         cx._dual = _UNDECIDED
+        cx._cut = None
+        cx._levels = _UNDECIDED
         return cx
 
     # -- state ------------------------------------------------------------
@@ -109,9 +127,7 @@ class SimplicialComplex:
 
     @property
     def dim(self):
-        if self.is_void:
-            return NEG_INF
-        return max(f.bit_count() for f in self._facets) - 1
+        return self._dim
 
     @property
     def is_pure(self) -> bool:
@@ -167,22 +183,29 @@ class SimplicialComplex:
         With a smaller Alexander dual the counts come from the dual's faces:
         a set of size s is a face iff its complement is not a dual face, so
         f_{s-1}(Δ) = C(n, s) - #{dual faces of size n - s} over the n-vertex
-        support (Björner and Tancer, DCG 2009). Otherwise the faces are
+        support (Björner and Tancer, DCG 2009). The dual's counts are its
+        level sizes for a cut complex on the connected-set route, and the
+        small dual's faces otherwise; without a smaller dual the faces are
         counted directly."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
         if self._fvec is None:
             size = self.dim + 2
-            dual = self._small_dual()
-            if dual is None:
+            n = self._support.bit_count()
+            co = None  # the dual's face counts by size
+            levels = self._connected_dual()
+            if levels is not None:
+                co = [comb(n, s) for s in range(self._cut[1])] + [len(lv) for lv in levels]
+                co += [0] * (n + 1 - len(co))
+            elif self._small_dual() is not None:
+                co = [0] * (n + 1)
+                for m in self._small_dual().face_set():
+                    co[m.bit_count()] += 1
+            if co is None:
                 counts = [0] * size
                 for m in self.face_set():
                     counts[m.bit_count()] += 1
             else:
-                n = self._support.bit_count()
-                co = [0] * (n + 1)
-                for m in dual.face_set():
-                    co[m.bit_count()] += 1
                 counts = [comb(n, s) - co[n - s] for s in range(size)]
             self._fvec = tuple(counts)
         return self._fvec
@@ -313,6 +336,29 @@ class SimplicialComplex:
                     dual = None
             self._dual = dual
         return self._dual
+
+    def _connected_dual(self) -> list[list[int]] | None:
+        """For Δ = Δ_k(G) from ``cuts.cut_complex`` with every vertex of G in
+        a facet: the faces of size k, k + 1, ... of its Alexander dual D, as
+        ``graphs.connected_levels`` lists them, when D has fewer faces than
+        Δ; None otherwise and for any other complex. Memoized.
+
+        D holds the Σ_{s<k} C(n, s) sets below size k and the sets whose
+        k-subsets all induce connected subgraphs. Those below size k are
+        counted, not listed, and the walk stops past the 2^(n-1) - 1 faces
+        ``_small_dual`` allows, so both pick the same side; when it stops,
+        ``_small_dual`` is None without a walk of its own."""
+        if self._levels is _UNDECIDED:
+            levels = None
+            if self._cut is not None:
+                g, k = self._cut
+                budget = (((1 << g.n) - 1) >> 1) - sum(comb(g.n, s) for s in range(k))
+                if budget >= 0:
+                    levels = connected_levels(g, k, budget)
+                if levels is None and self._dual is _UNDECIDED:
+                    self._dual = None
+            self._levels = levels
+        return self._levels
 
     # -- global properties ---------------------------------------------------
 

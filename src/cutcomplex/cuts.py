@@ -27,6 +27,7 @@ from .bitsets import bits, ksubset_masks
 from .complexes import SimplicialComplex, relabel_densely
 from .graphs import (
     Graph,
+    connected_ksets,
     disconnected_masks,
     family,
     from_edge_list,
@@ -75,11 +76,18 @@ def disconnected_ksets(g: Graph, k: int) -> list[int]:
 
 
 def cut_complex(g: Graph, k: int) -> SimplicialComplex:
-    """Complex whose facets are complements of disconnected k-sets."""
+    """Complex whose facets are complements of disconnected k-sets.
+
+    When the facets cover every vertex of g, the complex remembers (g, k), so
+    its f-vector and homology can come from the connected k-sets of g
+    (``SimplicialComplex._connected_dual``). Over a vertex in no facet the
+    dual would hold every set that misses it, so it is never the smaller
+    side there and the complex is left as it is."""
     full = g.full_mask
-    return SimplicialComplex(
-        [full ^ m for m in disconnected_ksets(g, k)], ambient=g.n
-    )
+    cx = SimplicialComplex([full ^ m for m in disconnected_ksets(g, k)], ambient=g.n)
+    if cx._support == full:
+        cx._cut = (g, k)
+    return cx
 
 
 def connected_kset_census(g: Graph, k: int, anchor: int | None = None) -> int:
@@ -89,13 +97,10 @@ def connected_kset_census(g: Graph, k: int, anchor: int | None = None) -> int:
         raise ValueError("census needs 1 <= k <= n")
     if anchor is not None and not (0 <= anchor < g.n):
         raise ValueError("anchor out of range")
-    masks = ksubset_masks(g.n, k)
-    total = comb(g.n, k)
+    sets = connected_ksets(g, k)
     if anchor is not None:
-        need = 1 << anchor
-        masks = (m for m in masks if m & need)
-        total = comb(g.n - 1, k - 1)
-    return total - len(disconnected_masks(g, masks))
+        sets = (m for m in sets if m >> anchor & 1)
+    return sum(1 for _ in sets)
 
 
 def facets_via_ridges(cx: SimplicialComplex, k: int) -> list[int]:

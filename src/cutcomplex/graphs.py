@@ -15,17 +15,20 @@ one flood step costs one lookup per byte of the set reached so far instead
 of one per vertex. The table is built once per graph, by doubling.
 ``disconnected_masks`` runs the flood over a whole sweep of masks in one
 call, and ``separator_closure`` floods the components whose neighbourhoods
-are the graph's minimal separators, through the same helper.
+are the graph's minimal separators, through the same helper. The connected
+k-sets are grown instead of swept (``connected_ksets``), and so are the
+larger sets whose k-subsets are all connected (``connected_levels``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Iterable, Iterator
 
-from .bitsets import bits, mask_of, to_tuple
+from .bitsets import bits, ksubset_masks, mask_of, to_tuple
 
 
 class FamilySpecError(ValueError):
@@ -349,6 +352,76 @@ def disconnected_masks(g: Graph, masks: Iterable[int]) -> list[int]:
     the order given. Each mask must be a nonempty subset of g's vertices."""
     reach = g.reach
     return [m for m in masks if _flood(reach, m & -m, m) & m != m]
+
+
+def connected_ksets(g: Graph, k: int) -> Iterator[int]:
+    """Yield each k-subset of g that induces a connected subgraph, once.
+
+    ESU (Wernicke, "Efficient detection of network motifs", 2006): a set is
+    grown from its least vertex v, and each vertex added extends the
+    candidates only by its neighbours above v that are not yet in or next to
+    the set. That reaches each connected set exactly once, so the work
+    follows the connected sets of size at most k rather than C(n, k). Those
+    below size k can number Σ_{j<k} C(n, j); when that exceeds C(n, k), as
+    for k > n/2, a flood of every k-set is the cheaper bound and runs
+    instead."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if comb(g.n, k) < sum(comb(g.n, j) for j in range(k)):
+        reach = g.reach
+        yield from (m for m in ksubset_masks(g.n, k) if _flood(reach, m & -m, m) & m == m)
+        return
+    adj = g.adj
+    for v in range(g.n):
+        above = g.full_mask >> v + 1 << v + 1
+        # (set, candidates left, closed neighbourhood of the set, size)
+        stack = [(1 << v, adj[v] & above, adj[v] | 1 << v, 1)]
+        while stack:
+            sub, ext, near, size = stack.pop()
+            if size == k:
+                yield sub
+                continue
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                u = w.bit_length() - 1
+                stack.append((sub | w, ext | adj[u] & above & ~near, near | adj[u], size + 1))
+
+
+def connected_levels(g: Graph, k: int, budget: int | None = None) -> list[list[int]] | None:
+    """The vertex sets of size k, k + 1, ... whose k-subsets all induce
+    connected subgraphs, one list per size, each in lexicographic order of
+    vertex tuples; None as soon as more than ``budget`` sets are listed (no
+    limit when None).
+
+    The first level is ``connected_ksets``. A larger set qualifies iff its
+    one-smaller subsets all do, so each level extends the sets of the one
+    below by a vertex past their highest and keeps the extensions whose other
+    one-smaller subsets are there too; extensions of sets in lexicographic
+    order come out in that order."""
+    levels: list[list[int]] = []
+    level = connected_ksets(g, k)
+    while True:
+        listed = list(islice(level, None if budget is None else budget + 1))
+        if budget is not None:
+            budget -= len(listed)
+            if budget < 0:
+                return None
+        if not listed:
+            return levels
+        levels.append(listed if levels else sorted(listed, key=to_tuple))
+        level = _extensions(g, levels[-1])
+
+
+def _extensions(g: Graph, level: list[int]) -> Iterator[int]:
+    """The sets m + u, for m in ``level`` and u past the highest vertex of m,
+    whose one-smaller subsets all lie in ``level``."""
+    below = set(level)
+    for m in level:
+        for u in bits(g.full_mask >> m.bit_length() << m.bit_length()):
+            grown = m | 1 << u
+            if all(grown ^ 1 << v in below for v in bits(m)):
+                yield grown
 
 
 def _flood(reach, seen: int, m: int) -> int:

@@ -8,17 +8,21 @@ coefficients are the diagonal entries greater than one.
 Everything is exact: the Smith reduction works on sparse rows of unbounded
 Python ints, pivoting on the first unit entry. Boundary matrices and Smith
 reduction run on whichever side of Alexander duality has fewer faces; for
-cut complexes that is usually the dual. The side comes from the complex's
-memoized small dual, taken over the complex's own vertices and decided
-without listing a face of the larger side.
+cut complexes that is usually the dual. The side is decided without listing
+a face of the larger side. A cut complex whose facets cover its graph's
+vertices takes its dual from the connected k-sets: the dual's complete
+(k - 2)-skeleton is counted, not listed, its boundary ranks are binomial
+coefficients, and Smith reduction runs only on the levels the connected
+k-sets generate. Any other complex takes the memoized small dual, walked
+over the complex's own vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 
-from .bitsets import to_tuple
+from .bitsets import bits, to_tuple
 from .complexes import SimplicialComplex
 
 
@@ -127,33 +131,35 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
 # boundary matrices and homology
 
 
+def _boundary(rows: list[int], cols: list[int]) -> IntMatrix:
+    """The boundary map from the faces ``cols`` to the faces ``rows``, which
+    hold every facet of each column, with sign (-1)^j for dropping the j-th
+    vertex of a column."""
+    index = {f: i for i, f in enumerate(rows)}
+    entries = {}
+    for col, face in enumerate(cols):
+        for j, v in enumerate(to_tuple(face)):
+            entries[(index[face & ~(1 << v)], col)] = -1 if j % 2 else 1
+    return IntMatrix(len(rows), len(cols), entries)
+
+
 def boundary_matrices(cx: SimplicialComplex) -> list[IntMatrix]:
     """[∂_0, ..., ∂_dim] with ∂_i: C_i -> C_{i-1}; ∂_0 maps onto the empty
     face, so the homology computed from these is reduced."""
     if cx.is_void:
         raise ValueError("the void complex has no chain complex")
     by_dim = cx.faces_by_dim()
-    top = cx.dim
-    index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
-    mats = []
-    for d in range(0, top + 1):
-        rows_idx = index.get(d - 1, {})
-        entries = {}
-        for col, face in enumerate(by_dim.get(d, [])):
-            verts = to_tuple(face)
-            for j, v in enumerate(verts):
-                sub = face & ~(1 << v)
-                entries[(rows_idx[sub], col)] = -1 if j % 2 else 1
-        mats.append(IntMatrix(len(rows_idx), len(by_dim.get(d, [])), entries))
-    return mats
+    return [_boundary(by_dim.get(d - 1, []), by_dim.get(d, [])) for d in range(cx.dim + 1)]
 
 
 @dataclass(frozen=True)
 class HomologyReport:
     """Free rank and torsion coefficients per dimension, -1 through dim.
 
-    ``side`` names the complex the groups were computed on: "primal" or its
-    Alexander "dual". It is not part of equality or the JSON output."""
+    ``side`` names the complex the groups were computed on: the "primal",
+    its Alexander "dual" from the dual walk, or, for a cut complex whose
+    facets cover the graph's vertices, the dual's faces from its
+    "connected" k-sets. It is not part of equality or the JSON output."""
 
     ranks: dict
     torsion: dict
@@ -194,52 +200,89 @@ class HomologyReport:
         ]
 
 
-def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
-    """Free ranks and torsion of H~_i(cx) for i = -1..dim, computed on cx."""
-    mats = boundary_matrices(cx)
-    snfs = [smith_normal_form(m) for m in mats]
+def _groups(sizes: list[int], snfs: list) -> tuple[dict, dict]:
+    """Free ranks and torsion of H~_i for i = -1..len(snfs) - 1 of a chain
+    complex whose C_i has rank ``sizes[i + 1]`` and whose ∂_i, for i >= 0,
+    has Smith diagonal and rank ``snfs[i]``; C_{-1} is the empty face alone."""
     ranks = {}
     torsion = {}
-    for i in range(-1, cx.dim + 1):
-        # C_i has one column of ∂_i per i-face; C_{-1} is the empty face alone
-        ci, r_in = (mats[i].ncols, snfs[i][1]) if i >= 0 else (1, 0)
-        diag, r_out = snfs[i + 1] if i + 1 < len(mats) else ((), 0)
-        ranks[i] = ci - r_in - r_out
+    for i in range(-1, len(snfs)):
+        r_in = snfs[i][1] if i >= 0 else 0
+        diag, r_out = snfs[i + 1] if i + 1 < len(snfs) else ((), 0)
+        ranks[i] = sizes[i + 1] - r_in - r_out
         torsion[i] = tuple(d for d in diag if d > 1)
     return ranks, torsion
 
 
-def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex) -> tuple[dict, dict]:
-    """The same groups as ``_primal_groups``, computed on ``dual``, the
-    Alexander dual of ``cx`` over the n vertices of ``cx``.
+def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
+    """Free ranks and torsion of H~_i(cx) for i = -1..dim, computed on cx."""
+    mats = boundary_matrices(cx)
+    return _groups([1] + [m.ncols for m in mats], [smith_normal_form(m) for m in mats])
+
+
+def _connected_groups(n: int, k: int, levels: list[list[int]]) -> tuple[dict, dict]:
+    """The groups of D, the complex on n vertices that holds every set of
+    size below k and then the faces of size k, k + 1, ... in ``levels``.
+
+    D's (k - 2)-skeleton is that of the simplex, whose reduced chain complex
+    is exact, so rank ∂_i = C(n - 1, i) for i <= k - 2 with no torsion. Smith
+    reduction runs from ∂_{k-1} up; the rows of ∂_{k-1} are the (k - 1)-sets
+    that some face of size k holds, since the other rows are zero."""
+    rows = sorted({m & ~(1 << v) for m in levels[0] for v in bits(m)}, key=to_tuple) if levels else []
+    mats = [_boundary(below, cols) for below, cols in zip([rows] + levels, levels)]
+    return _groups(
+        [comb(n, s) for s in range(k)] + [len(level) for level in levels],
+        [((), comb(n - 1, i)) for i in range(k - 1)] + [smith_normal_form(m) for m in mats],
+    )
+
+
+def _shifted_groups(n: int, top: int, dual_groups: tuple[dict, dict]) -> tuple[dict, dict]:
+    """The groups of H~_i(Δ) for i = -1..top from ``dual_groups``, those of
+    the Alexander dual of Δ over a set of n vertices that holds Δ's support.
 
     Over that vertex set, H~_i(Δ; Z) is isomorphic to
     H~^(n-i-3)(Δ^∨; Z) (Björner and Tancer, "Combinatorial Alexander duality
     -- a short and elementary proof", DCG 2009). By universal coefficients
     the free rank of H~_i(Δ) is β_(n-i-3)(Δ^∨) and its torsion is the torsion
-    of H~_(n-i-4)(Δ^∨). A void dual (that of the full simplex) raises.
+    of H~_(n-i-4)(Δ^∨).
     """
-    n = cx._support.bit_count()
-    dual_ranks, dual_torsion = _primal_groups(dual)
-    dims = range(-1, cx.dim + 1)
+    dual_ranks, dual_torsion = dual_groups
+    dims = range(-1, top + 1)
     return (
         {i: dual_ranks.get(n - i - 3, 0) for i in dims},
         {i: dual_torsion.get(n - i - 4, ()) for i in dims},
     )
 
 
+def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex) -> tuple[dict, dict]:
+    """The same groups as ``_primal_groups``, computed on ``dual``, the
+    Alexander dual of ``cx`` over the n vertices of ``cx``. A void dual (that
+    of the full simplex) raises."""
+    return _shifted_groups(cx._support.bit_count(), cx.dim, _primal_groups(dual))
+
+
 def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     """Reduced integer homology, computed on the smaller Alexander-dual side.
 
-    The dual has exactly 2^n - |Δ| faces. It is used when it has fewer faces
-    than Δ, which the capped dual walk behind the complex's small-dual memo
-    decides without listing a primal face; that same dual is then reused.
-    Ties and the full simplex, whose dual is void, stay primal. Duality is
-    taken over the complex's own n vertices, since over an ambient vertex in
-    no facet the dual is never the smaller side.
+    The dual has exactly 2^n - |Δ| faces over the n vertices of Δ's facets.
+    It is used when it has fewer faces than Δ. For a cut complex Δ_k(G)
+    whose facets cover V(G), the dual's faces of size k and up come from the
+    connected k-sets of G (``SimplicialComplex._connected_dual``, side
+    "connected"): the Σ_{s<k} C(n, s) faces below are counted, not listed,
+    and need no Smith reduction. Any other complex takes the capped dual walk
+    behind its small-dual memo (side "dual"), which decides the side without
+    listing a primal face. Both stop past 2^(n-1) - 1 dual faces, so they
+    pick the same side. Ties and the full simplex, whose dual is void, stay
+    primal. Duality is taken over the complex's own n vertices, since over
+    an ambient vertex in no facet the dual is never the smaller side.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
+    levels = cx._connected_dual()
+    if levels is not None:
+        n = cx._support.bit_count()
+        groups = _connected_groups(n, cx._cut[1], levels)
+        return HomologyReport(*_shifted_groups(n, cx.dim, groups), side="connected")
     dual = cx._small_dual()
     if dual is not None:
         return HomologyReport(*_dual_groups(cx, dual), side="dual")

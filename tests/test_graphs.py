@@ -26,6 +26,8 @@ from cutcomplex import (
     wedge,
     write_graph_text,
 )
+from cutcomplex.bitsets import to_tuple
+from cutcomplex.graphs import connected_ksets, connected_levels
 from conftest import brute_chordal, brute_connected, brute_girth, random_graph
 
 
@@ -306,6 +308,49 @@ def test_minimal_separators_examples():
 def test_minimal_separators_match_brute_force(n, p, seed):
     g = random_graph(random.Random(seed), n, p)
     assert minimal_separators(g) == _brute_minimal_separators(g)
+
+
+def _brute_connected_ksets(g, k):
+    return [s for s in combinations(range(g.n), k) if brute_connected(g, s)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_connected_ksets_match_brute_force(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for k in range(1, n + 2):
+        got = [to_tuple(m) for m in connected_ksets(g, k)]
+        assert len(got) == len(set(got))  # each connected k-set once
+        assert sorted(got) == _brute_connected_ksets(g, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_connected_levels_match_brute_force(n, p, seed):
+    # the sets of size >= k whose k-subsets are all connected, by size, in
+    # lexicographic order; a budget below their number gives None
+    g = random_graph(random.Random(seed), n, p)
+    for k in range(1, n + 1):
+        want = [[s for s in combinations(range(g.n), size) if all(brute_connected(g, t) for t in combinations(s, k))]
+                for size in range(k, n + 1)]
+        while want and not want[-1]:
+            want.pop()
+        levels = connected_levels(g, k)
+        assert [[to_tuple(m) for m in level] for level in levels] == want
+        total = sum(map(len, want))
+        assert connected_levels(g, k, total) == levels
+        assert total == 0 or connected_levels(g, k, total - 1) is None
+
+
+def test_connected_ksets_examples():
+    assert sorted(connected_ksets(family("path:5"), 3)) == [0b111, 0b1110, 0b11100]
+    assert list(connected_ksets(family("edgeless:4"), 2)) == []
+    assert sorted(connected_ksets(family("edgeless:3"), 1)) == [1, 2, 4]
+    # k = 23 of a 26-vertex path: there are more sets below size k than
+    # k-sets, so the k-sets are flooded; the connected ones are the intervals
+    assert sorted(connected_ksets(family("path:26"), 23)) == [((1 << 23) - 1) << i for i in range(4)]
+    with pytest.raises(ValueError):
+        list(connected_ksets(family("path:3"), 0))
 
 
 def test_text_format_round_trip():

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,19 @@ from cutcomplex import (
     reduced_homology,
     smith_normal_form,
 )
-from cutcomplex import complexes
-from cutcomplex.homology import HomologyReport, _divisibility_chain, _dual_groups, _primal_groups
+from cutcomplex import complexes, graphs, homology
+from cutcomplex.complexes import SimplicialComplex
+from cutcomplex.graphs import connected_levels
+from cutcomplex.homology import (
+    HomologyReport,
+    _connected_groups,
+    _divisibility_chain,
+    _dual_groups,
+    _primal_groups,
+    _shifted_groups,
+)
 
-from conftest import RP2_FACETS, matrix_from_rows, matrix_product, random_graph
+from conftest import RP2_FACETS, brute_faces, matrix_from_rows, matrix_product, random_graph
 
 
 def test_snf_identity():
@@ -301,7 +312,7 @@ def test_side_picker_rejects_the_void_complex():
 
 def test_side_picker_choices():
     rep = reduced_homology(cut_complex(family("complete_multipartite:6,6"), 2))
-    assert rep.side == "dual" and rep.nonzero_dims() == [8] and rep.betti(8) == 25
+    assert rep.side == "connected" and rep.nonzero_dims() == [8] and rep.betti(8) == 25
     g, k = realize_as_cut_complex(from_facets(RP2_FACETS))
     assert (g.n, k) == (16, 13)
     rep = reduced_homology(cut_complex(g, k))
@@ -318,7 +329,7 @@ def test_counts_and_homology_never_list_the_larger_side(monkeypatch):
     monkeypatch.setattr(complexes, "submasks", refuse)
     assert sum(cx.f_vector()) == 2**20 - 231
     rep = reduced_homology(cx)
-    assert rep.side == "dual" and cx._faces is None
+    assert rep.side == "connected" and cx._faces is None
     assert rep.euler() == cx.reduced_euler()
     assert predicted_betti("cycle:20", 3).matches(cx, rep)
 
@@ -328,5 +339,91 @@ def test_large_dual_matches_the_closed_form(spec, k):
     # thousands of dual faces: Δ_5(P_18) has 4,062 and H~_12 = Z^2366; Δ_4(prism_10) has H~_14 = Z^84
     cx = cut_complex(family(spec), k)
     rep = reduced_homology(cx)
-    assert rep.side == "dual"
+    assert rep.side == "connected"
     assert predicted_betti(spec, k).matches(cx, rep)
+
+
+# -- the connected-set route: a cut complex's dual from its connected k-sets ---
+
+
+def _connected_route(g, k, cx):
+    """The route called directly, past the side rule, with duality over all
+    of V(g): correct even when the facets miss a vertex, as D is then a cone."""
+    return HomologyReport(*_shifted_groups(g.n, cx.dim, _connected_groups(g.n, k, connected_levels(g, k))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_connected_route_matches_the_primal(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for k in range(1, n + 1):
+        cx = cut_complex(g, k)
+        if cx.is_void:
+            continue
+        primal = HomologyReport(*_primal_groups(cx))
+        assert _connected_route(g, k, cx) == primal
+        rep = reduced_homology(cx)
+        assert rep == primal
+        sizes = Counter(map(len, brute_faces(cx.facet_tuples())))
+        assert cx.f_vector() == tuple(sizes[s] for s in range(cx.dim + 2))
+        # the route is taken exactly where the dual walk of a plain copy finds the smaller side
+        plain = reduced_homology(SimplicialComplex(cx.facets, ambient=cx.ambient)).side
+        if cx.vertices() == tuple(range(n)):
+            assert (rep.side, plain) in (("connected", "dual"), ("primal", "primal"))
+        else:
+            assert rep.side == plain
+
+
+@pytest.mark.parametrize("suspensions", [0, 1])
+def test_connected_route_finds_the_torsion_of_realized_rp2(suspensions):
+    # the realized graphs' apex vertices are in no facet, so homology stays
+    # primal; past the side rule the route over all n vertices agrees
+    cx = from_facets(RP2_FACETS)
+    for _ in range(suspensions):
+        cx = cx.suspension()
+    g, k = realize_as_cut_complex(cx)
+    assert (g.n, k) == ((16, 13), (28, 24))[suspensions]
+    cx = cut_complex(g, k)
+    rep = reduced_homology(cx)
+    assert rep.side == "primal"
+    assert rep.nonzero_dims() == [1 + suspensions] and rep.torsion_at(1 + suspensions) == (2,)
+    assert _connected_route(g, k, cx) == rep
+
+
+def test_a_cut_complex_missing_a_vertex_lists_no_connected_kset(monkeypatch):
+    # K_20 plus an isolated vertex 20: every facet misses vertex 20, and over
+    # all 21 vertices the dual would hold the 2^20 subsets of K_20
+    def refuse(*args):
+        raise AssertionError("connected k-sets were listed")
+
+    monkeypatch.setattr(graphs, "connected_ksets", refuse)
+    cx = cut_complex(from_edge_list(21, list(combinations(range(20), 2))), 5)
+    assert cx.vertices() == tuple(range(20))
+    rep = reduced_homology(cx)
+    assert rep.side == "dual" and rep.free_concentrated(15, comb(19, 3))  # the 15-skeleton of a 19-simplex
+    assert cx.f_vector() == tuple(comb(20, s) for s in range(17))
+
+
+def test_connected_route_runs_no_dual_walk_and_no_full_boundary(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dual walk or the full boundary assembly ran")
+
+    monkeypatch.setattr(SimplicialComplex, "_dual_within", refuse)
+    monkeypatch.setattr(homology, "boundary_matrices", refuse)
+    cx = cut_complex(family("path:22"), 6)
+    rep = reduced_homology(cx)
+    assert rep.side == "connected" and cx._faces is None
+    assert rep.euler() == cx.reduced_euler()
+    assert predicted_betti("path:22", 6).matches(cx, rep)
+
+
+def test_only_cut_complex_remembers_its_graph():
+    g = family("cycle:6")
+    cx = cut_complex(g, 3)
+    assert cx._cut == (g, 3)
+    plain = SimplicialComplex(cx.facets, ambient=cx.ambient)
+    assert plain == cx and hash(plain) == hash(cx) and plain._cut is None
+    for derived in (cx.link((0,)), cx.star((0,)), cx.deletion((0,)), cx.join(cx), cx.cone()):
+        assert derived._cut is None
+    assert reduced_homology(plain) == reduced_homology(cx)
+    assert reduced_homology(plain).side == "dual" and reduced_homology(cx).side == "connected"
