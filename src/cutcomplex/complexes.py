@@ -12,10 +12,12 @@ dual and reads its f-vector from it (combinatorial Alexander duality), so
 counts never list the larger side. That dual is taken over the support, since
 over an ambient vertex in no facet it could never be the smaller side; only
 the public ``alexander_dual()`` is taken over the ambient set. Faces are
-listed only when a caller needs each one, such as a Morse matching, and are
-then memoized. With a small dual they come from it: a subset of the support
-is a face iff its complement in the support is not a dual face. Otherwise the
-submasks of every facet are walked. A cut complex whose facets cover its
+listed only when a caller needs each one, such as a Morse matching on a
+sparse complex, and are then memoized. With a small dual they come from it: a
+subset of the support is a face iff its complement in the support is not a
+dual face. Otherwise the submasks of every facet are walked. When the faces
+fill at least half of the masks below the support's top bit, ``face_bitmap``
+gives them as one int instead, for Morse matchings on dense complexes. A cut complex whose facets cover its
 graph's vertices remembers the graph and k, and counts its faces from the
 connected k-sets of the graph instead, which never lists the dual's
 complete skeleton. The lazy caches are write-once and idempotent, so
@@ -30,7 +32,7 @@ from itertools import combinations
 from math import comb
 from operator import or_
 
-from .bitsets import bits, mask_of, submasks, to_tuple
+from .bitsets import bits, bytes_bitmap, mask_bytes, mask_of, submasks, to_tuple
 from .graphs import connected_levels
 
 NEG_INF = float("-inf")
@@ -163,6 +165,23 @@ class SimplicialComplex:
                 out.difference_update([support ^ m for m in dual.face_set()])
             self._faces = frozenset(out)
         return self._faces
+
+    def face_bitmap(self) -> int | None:
+        """The faces as one int whose bit m is set iff mask m is a face, when
+        they fill at least half of the 2^b masks below the support's top bit
+        b; None otherwise. No face is listed.
+
+        A small Alexander dual means the faces are more than half of the 2^n
+        subsets of the n-vertex support, so they fill half the 2^b masks iff
+        the support has no gap (n = b). Every mask below 2^b is then a subset
+        of the support, and it is a face iff ``support ^ m`` is not a dual
+        face. The bitmap costs at most two bits per face."""
+        support = self._support
+        dual = self._small_dual()
+        if dual is None or support & (support + 1):
+            return None
+        width = support + 1
+        return ((1 << width) - 1) ^ bytes_bitmap(mask_bytes([support ^ m for m in dual._faces], width))
 
     def has_face(self, sigma) -> bool:
         m = mask_of(sigma)

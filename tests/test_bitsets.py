@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,15 +55,25 @@ def test_to_tuple_matches_bits(m):
     assert to_tuple(m) == tuple(bits(m))
 
 
-def test_to_text_builds_rows_only_for_used_byte_offsets(monkeypatch):
-    monkeypatch.setattr(bitsets, "_BYTE_TEXT", {})  # start from an empty text table
-    sparse = [(1 << 1_000_000) | 1, 1 << 20_003]
-    for m in WIDE_MASKS + sparse:
-        assert bitsets.to_text(m) == ", ".join(map(str, bits(m)))
-    assert len(bitsets._BYTE_TEXT) == 28 + 2  # 220 bits, then offsets 2,500 and 125,000
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, (1 << 300) - 1))
-def test_to_text_matches_bits(m):
-    assert bitsets.to_text(m) == ", ".join(map(str, bits(m)))
+@given(st.integers(1, 600).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.tuples(st.integers(0, w - 1), st.integers(1, 3))), st.integers(0, 11))))
+def test_bitmaps_match_their_masks(case):
+    width, entries, v = case
+    masks = [m for m, _ in entries]
+    last = dict(entries)  # a later mask overwrites an earlier equal one
+    flags = bitsets.mask_bytes(masks, width, [x for _, x in entries])
+    assert bitsets.bytes_bitmap(flags) == sum(1 << m for m in last)
+    for x in (1, 2, 3):
+        bitmap = bitsets.bytes_bitmap(flags, x)
+        assert bitmap == sum(1 << m for m, y in last.items() if y == x)
+        assert bitsets.bitmap_masks(bitmap) == sorted(m for m, y in last.items() if y == x)
+    assert bitsets.lacking(v, width) == sum(1 << m for m in range(width) if not m >> v & 1)
+
+
+def test_mask_bytes_rejects_masks_outside_the_width():
+    for masks in ([-1], [0, 8], [3, -8]):  # an index of -1 would wrap to the last byte
+        with pytest.raises(ValueError, match="not in 0..7"):
+            bitsets.mask_bytes(masks, 8)
+    assert bitsets.mask_bytes([], 0) == bytearray()
+    assert bitsets.bytes_bitmap(bytearray()) == 0 and bitsets.bitmap_masks(0) == []

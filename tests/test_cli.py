@@ -300,6 +300,18 @@ def test_morse_on_a_large_primal_lists_faces_from_the_dual(monkeypatch, capsys):
     assert len(census_calls) == 1  # shared by the census field and the matching record
 
 
+def test_morse_on_a_face_bitmap_lists_no_faces(monkeypatch, capsys):
+    from cutcomplex import SimplicialComplex
+
+    def refuse(cx):
+        raise AssertionError("a face set was listed")
+
+    expected = run(capsys, "morse", "path:14", "--k", "2", "--order", "tree", "--json")
+    monkeypatch.setattr(SimplicialComplex, "face_set", refuse)  # the dual's face set too
+    assert run(capsys, "morse", "path:14", "--k", "2", "--order", "tree", "--json") == expected
+    assert expected[0] == 0 and json.loads(expected[1])["acyclic"] is True
+
+
 def test_verify_computes_one_homology_per_nonvoid_row(monkeypatch, capsys):
     import cutcomplex.cli as cli
     import cutcomplex.shelling as shelling

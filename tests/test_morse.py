@@ -3,11 +3,12 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
     MorseMatching,
+    SimplicialComplex,
     bits,
     cut_complex,
     element_matching_sequence,
@@ -23,6 +24,7 @@ from cutcomplex import (
     tree_matching_order,
     verify_acyclic_and_critical,
 )
+from cutcomplex import bitsets
 from conftest import brute_faces, random_graph, random_tree
 
 
@@ -94,8 +96,9 @@ def test_hand_built_cycle_detected():
         (mask_of([1]), mask_of([1, 2])),
         (mask_of([2]), mask_of([0, 2])),
     )
-    acyclic, _ = verify_acyclic_and_critical(MorseMatching(cx, pairs))
-    assert not acyclic
+    assert cx.face_bitmap() is not None
+    picked, on_sets = _on_both_paths(lambda: verify_acyclic_and_critical(MorseMatching(cx, pairs)))
+    assert picked == on_sets and not picked[0]
 
 
 def test_malformed_matchings_rejected():
@@ -270,14 +273,17 @@ def random_matchings(draw):
     n = draw(st.integers(2, 6))
     facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=5))
     cx = from_facets([tuple(sorted(f)) for f in facets], ambient=n)
-    rng = draw(st.randoms(use_true_random=False))
+    return _random_pairing(cx, draw(st.randoms(use_true_random=False)))
+
+
+def _random_pairing(cx, rng):
     face_set = cx.face_set()
     faces = sorted(face_set)
     rng.shuffle(faces)
     matched = set()
     pairs = []
     for s in faces:
-        ups = [t for t in (s | 1 << v for v in range(n)) if t != s and t in face_set and t not in matched]
+        ups = [t for t in (s | 1 << v for v in range(cx.ambient)) if t != s and t in face_set and t not in matched]
         if s in matched or not ups:
             continue
         t = rng.choice(ups)
@@ -345,7 +351,7 @@ def test_element_matching_equals_the_full_list_loop(case):
     assert mm.pairs == _full_list_matching(cx, order)
     acyclic, census = verify_acyclic_and_critical(mm)
     assert acyclic and census == mm.critical_census()
-    assert mm.pairs_json() == json.dumps([[list(to_tuple(s)), list(to_tuple(t))] for s, t in mm.pairs])
+    assert mm.pairs_json() == _dumped(mm.pairs)
 
 
 # faces for the pair-record text: the empty face, faces spanning up to six
@@ -357,14 +363,207 @@ _record_faces = st.one_of(
 )
 
 
+def _dumped(pairs):
+    return json.dumps([[list(to_tuple(s)), list(to_tuple(t))] for s, t in pairs])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_record_faces, _record_faces), max_size=8))
 def test_pair_record_text_is_the_json_dumps_bytes(pairs):
     mm = MorseMatching(from_facets([]), tuple(pairs))
-    assert mm.pairs_json() == json.dumps([[list(to_tuple(s)), list(to_tuple(t))] for s, t in pairs])
+    assert mm.pairs_json() == _dumped(pairs)
+
+
+# byte boundaries, one word and past it, and 220 vertices
+_WIDE_FACES = [
+    0, 1, 0x7F, 0x80, 0xFF, 0x100, 0x1FF, 0xFFFF, 0x10000,
+    (1 << 63) | 1, (1 << 64) - 1, 1 << 64, (1 << 65) | (1 << 8),
+    1 << 200, (1 << 200) - 1, (1 << 219) | (1 << 7), (1 << 220) - 1,
+    mask_of(range(0, 220, 7)),
+]
+
+
+def test_pair_record_text_of_wide_and_sparse_faces(monkeypatch):
+    monkeypatch.setattr(bitsets, "_BYTE_BITS", {})  # start from an empty bit table
+    sparse = [(1 << 1_000_000) | 1, 1 << 20_003]
+    faces = _WIDE_FACES + sparse
+    pairs = tuple(zip(faces, faces[::-1]))
+    text = MorseMatching(from_facets([]), pairs).pairs_json()
+    # the text of a face's vertices from 8 up reads bit rows only for the byte
+    # offsets in use: 1-27 of the 220 bits, then 2,500 and 125,000
+    assert sorted(bitsets._BYTE_BITS) == list(range(1, 28)) + [2_500, 125_000]
+    assert text == _dumped(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, (1 << 300) - 1), st.integers(0, (1 << 300) - 1)), max_size=4))
+def test_pair_record_text_matches_bits(pairs):
+    text = MorseMatching(from_facets([]), tuple(pairs)).pairs_json()
+    assert text == json.dumps([[list(bits(s)), list(bits(t))] for s, t in pairs])
 
 
 def test_pair_record_text_of_an_element_matching_pairs_the_empty_face():
     mm = element_matching_sequence(from_facets([(0, 9, 17), (1_000_000,)]), [17, 1_000_000])
     assert mm.pairs_json().startswith("[[[], [17]], ")
-    assert mm.pairs_json() == json.dumps([[list(to_tuple(s)), list(to_tuple(t))] for s, t in mm.pairs])
+    assert mm.pairs_json() == _dumped(mm.pairs)
+
+
+# -- the bitmap path and the set path ------------------------------------------
+
+
+def _outcome(run):
+    """run()'s result, or the message of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _on_both_paths(run):
+    """run()'s outcome as the library picks the path, then with every complex
+    on the set path."""
+    picked = _outcome(run)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimplicialComplex, "face_bitmap", lambda self: None)
+        return picked, _outcome(run)
+
+
+@st.composite
+def dense_and_sparse_complexes(draw):
+    """A complex on 2-9 ambient vertices: a cut complex of a random graph, of
+    a clique with an isolated vertex (a support with a gap there, unless it
+    is the last vertex), or the Alexander dual of a small random complex."""
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["cut", "gap", "dual"]))
+    if kind == "dual":
+        facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=1, max_size=4))
+        return from_facets([tuple(sorted(f)) for f in facets], ambient=n).alexander_dual()
+    if kind == "gap":
+        lone = draw(st.integers(0, n - 1))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if lone not in (u, v)]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return cut_complex(from_edge_list(n, edges), draw(st.integers(2, max(2, n - 1))))
+
+
+def test_bitmap_and_set_paths_give_the_same_matchings():
+    dense = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_and_sparse_complexes(), st.data())
+    def check(cx, data):
+        order = data.draw(st.permutations(range(cx.ambient)))[: data.draw(st.integers(0, cx.ambient))]
+        faces = cx.face_bitmap()
+        if faces is not None:
+            assert bitsets.bitmap_masks(faces) == sorted(cx.face_set())
+        dense.append(faces is not None)
+
+        def run():
+            mm = element_matching_sequence(cx, order)
+            return mm.pairs, verify_acyclic_and_critical(mm), mm.critical_faces()
+
+        picked, on_sets = _on_both_paths(run)
+        assert picked == on_sets
+        assert picked[1][0]  # element matchings are acyclic
+
+    check()
+    assert dense.count(True) >= len(dense) // 4 and False in dense
+
+
+def test_bad_pairings_raise_the_same_message_on_both_paths():
+    boundary = from_facets([(0, 1), (1, 2), (0, 2)])  # 7 faces, a bitmap of 8 masks
+    assert boundary.face_bitmap() == 0b01111111
+    cases = [
+        ("non-face", ((3, 7),)),  # {0, 1, 2} is no face
+        ("non-face", ((-1, 0),)),  # -1 and 0 differ in one bit; -1 would wrap to the last mask
+        ("non-face", ((-2, -1),)),
+        ("non-face", ((3, 11),)),  # 11 is past the bitmap
+        ("non-face", ((1 << 70, (1 << 70) | 1),)),
+        ("more than one pair", ((1, 3), (1, 3))),
+        ("more than one pair", ((1, 3), (2, 3))),  # {0, 1} is upper in two pairs
+        ("more than one pair", ((0, 1), (1, 3))),  # {0} is upper in one pair and lower in another
+        ("more than one pair", ((1, 5), (1, 3))),  # the dict of pairs keeps (1, 3) alone
+        ("one vertex", ((3, 3),)),
+        ("one vertex", ((3, 1),)),
+        ("one vertex", ((0, 3),)),  # two vertices apart
+        ("one vertex", ((1, 2),)),
+    ]
+    for message, pairs in cases:
+        picked, on_sets = _on_both_paths(lambda: verify_acyclic_and_critical(MorseMatching(boundary, pairs)))
+        assert picked == on_sets and message in picked, (pairs, picked)
+    # {0, 1, 2} = 7 is no face, but a mask below the face {1, 2, 3} = 14
+    cx = from_facets([(1, 2, 3), (0, 1), (0, 2)])
+    assert cx.face_bitmap().bit_length() == 15
+    for pairs in [((3, 7),), ((7, 15),)]:
+        picked, on_sets = _on_both_paths(lambda: verify_acyclic_and_critical(MorseMatching(cx, pairs)))
+        assert picked == on_sets and "non-face" in picked
+
+
+@st.composite
+def pairings_of_dense_complexes(draw):
+    """A pairing on a complex with a face bitmap: a random greedy one (often
+    cyclic), or an element matching with pairs dropped, repeated, bent to
+    another vertex or moved outside the faces."""
+    n = draw(st.integers(2, 7))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=1, max_size=4))
+    cx = from_facets([tuple(sorted(f)) for f in facets], ambient=n).alexander_dual()
+    assume(cx.face_bitmap() is not None)
+    if draw(st.booleans()):
+        return _random_pairing(cx, draw(st.randoms(use_true_random=False)))
+    pairs = list(element_matching_sequence(cx, draw(st.permutations(range(n)))).pairs)
+    faces = cx.face_set()
+    masks = st.integers(-2, (1 << n) + 2)
+    # a face below a non-face t that is a mask below a face
+    below = [(t & ~(1 << v), t) for t in range(max(faces)) if t not in faces for v in bits(t) if t & ~(1 << v) in faces]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(pairs)))
+        pair = draw(st.one_of(
+            st.tuples(masks, st.integers(0, n)).map(lambda sv: (sv[0], sv[0] | 1 << sv[1])),
+            st.tuples(masks, masks),
+            st.sampled_from(pairs or [(0, 1)]),
+            st.sampled_from(below or [(0, 1)]),
+        ))
+        pairs[i:i + draw(st.integers(0, 1))] = [pair]
+    return MorseMatching(cx, tuple(pairs))
+
+
+def test_bitmap_and_set_paths_agree_on_pairings():
+    outcomes = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairings_of_dense_complexes())
+    def check(m):
+        # a new matching for each path: a matching memoizes its bitmaps
+        picked, on_sets = _on_both_paths(lambda: verify_acyclic_and_critical(MorseMatching(m.complex, m.pairs)))
+        assert picked == on_sets
+        if not isinstance(picked, str):
+            assert picked[0] == _full_hasse_acyclic(m)
+            assert picked[1] == _reference_census(m)
+        outcomes.append(picked if isinstance(picked, str) else picked[0])
+
+    check()
+    for outcome in (True, False, "non-face", "more than one pair", "one vertex"):
+        assert any(outcome is o if isinstance(outcome, bool) else outcome in str(o) for o in outcomes), outcome
+
+
+def test_sparse_complexes_build_no_bitmap(monkeypatch):
+    import cutcomplex.complexes as complexes
+    import cutcomplex.morse as morse
+
+    def refuse(*args):
+        raise AssertionError("a bitmap was built")
+
+    for module, name in [(morse, "mask_bytes"), (morse, "bytes_bitmap"), (morse, "bitmap_masks"),
+                         (morse, "lacking"), (complexes, "mask_bytes"), (complexes, "bytes_bitmap")]:
+        monkeypatch.setattr(module, name, refuse)
+    # Δ_9(P_12) has few faces among 2^12 masks; K_6 plus an isolated vertex 0
+    # has a small dual but a gap at 0
+    lone = from_edge_list(7, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])
+    for cx in (cut_complex(family("path:12"), 9), cut_complex(lone, 3)):
+        assert cx.face_bitmap() is None
+        mm = element_matching_sequence(cx, range(cx.ambient))
+        acyclic, census = verify_acyclic_and_critical(mm)
+        assert acyclic and census == mm.critical_census()
+        assert mm.pairs_json() == _dumped(mm.pairs)
+    assert cut_complex(lone, 3)._small_dual() is not None
