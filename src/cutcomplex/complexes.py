@@ -17,11 +17,16 @@ sparse complex, and are then memoized. With a small dual they come from it: a
 subset of the support is a face iff its complement in the support is not a
 dual face. Otherwise the submasks of every facet are walked. When the faces
 fill at least half of the masks below the support's top bit, ``face_bitmap``
-gives them as one int instead, for Morse matchings on dense complexes. A cut complex whose facets cover its
-graph's vertices remembers the graph and k, and counts its faces from the
-connected k-sets of the graph instead, which never lists the dual's
-complete skeleton. The lazy caches are write-once and idempotent, so
-complexes stay safe to share across threads.
+gives them as one int instead, for Morse matchings on dense complexes.
+
+A cut complex whose facets cover its graph's vertices remembers the graph
+and k, and counts its faces from the connected k-sets of the graph instead,
+which never lists the dual's complete skeleton. When ``cuts.cut_complex``
+knows its support and dimension from the graph, it may even leave the
+facets unlisted until they are first read; counts and homology on the
+connected-set route never read them. The lazy caches, the facets included,
+are write-once and idempotent, so complexes stay safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ def _top_dim(facets) -> int | float:
 
 
 class SimplicialComplex:
-    __slots__ = ("_facets", "ambient", "_dim", "_support", "_faces", "_fvec", "_dual", "_cut", "_levels")
+    __slots__ = ("_facets", "_listing", "ambient", "_dim", "_support", "_faces", "_fvec", "_dual", "_cut", "_levels")
 
     def __init__(self, faces, ambient: int | None = None):
         """Build the complex generated by ``faces`` (bitmasks or vertex
@@ -75,14 +80,21 @@ class SimplicialComplex:
         masks = [mask_of(f) for f in faces]
         if any(m < 0 for m in masks):
             raise ValueError("faces must be nonnegative bitmasks")
-        self._facets = _normalize(masks)
-        self._dim = _top_dim(self._facets)
-        self._support = reduce(or_, self._facets, 0)
-        top = self._support.bit_length()
+        facets = _normalize(masks)
+        support = reduce(or_, facets, 0)
+        top = support.bit_length()
         if ambient is None:
             ambient = top
         elif ambient < top:
             raise ValueError("ambient vertex count smaller than the facets")
+        self._fill(facets, None, support, _top_dim(facets), ambient)
+
+    def _fill(self, facets, listing, support: int, dim, ambient: int) -> None:
+        """Set every slot, with the lazy memos not yet computed."""
+        self._facets = facets  # None until first read, then those of ``listing()``
+        self._listing = listing
+        self._support = support
+        self._dim = dim
         self.ambient = ambient
         self._faces = None
         self._fvec = None
@@ -95,37 +107,46 @@ class SimplicialComplex:
         """Complex with a known, downward-closed face set: the facets are the
         faces with no one-vertex extension, so no normalization is needed."""
         cx = cls.__new__(cls)
-        cx._support = reduce(or_, faces, 0)
-        singles = [1 << v for v in bits(cx._support)]
-        cx._facets = tuple(sorted(
+        support = reduce(or_, faces, 0)
+        singles = [1 << v for v in bits(support)]
+        facets = tuple(sorted(
             m for m in faces if not any((m | b) in faces for b in singles if not m & b)
         ))
-        cx._dim = _top_dim(cx._facets)
-        cx.ambient = ambient
+        cx._fill(facets, None, support, _top_dim(facets), ambient)
         cx._faces = frozenset(faces)
-        cx._fvec = None
-        cx._dual = _UNDECIDED
-        cx._cut = None
-        cx._levels = _UNDECIDED
+        return cx
+
+    @classmethod
+    def _listed_on_read(cls, listing, support: int, dim: int, ambient: int) -> SimplicialComplex:
+        """A complex equal to ``listing()``, which is called for its facets
+        when they are first read. The caller vouches for the listed
+        complex's support, dimension (so it is not void) and ambient count;
+        counts and homology that need no more than these never call it."""
+        cx = cls.__new__(cls)
+        cx._fill(None, listing, support, dim, ambient)
         return cx
 
     # -- state ------------------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self._facets
+        return self._dim == NEG_INF
 
     @property
     def is_empty_complex(self) -> bool:
         """True for the (-1)-dimensional complex whose only face is ∅."""
-        return self._facets == (0,)
+        return self._dim == -1
 
     @property
     def facets(self) -> tuple[int, ...]:
+        """The facets as ascending bitmasks, listed on first read for a
+        complex from ``_listed_on_read``. Racing readers write equal tuples."""
+        if self._facets is None:
+            self._facets = self._listing().facets
         return self._facets
 
     def facet_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(to_tuple(f) for f in self._facets)
+        return tuple(to_tuple(f) for f in self.facets)
 
     @property
     def dim(self):
@@ -134,7 +155,7 @@ class SimplicialComplex:
     @property
     def is_pure(self) -> bool:
         """All facets share one dimension (vacuously true for the void complex)."""
-        return len({f.bit_count() for f in self._facets}) <= 1
+        return len({f.bit_count() for f in self.facets}) <= 1
 
     def vertices(self) -> tuple[int, ...]:
         return to_tuple(self._support)
@@ -154,7 +175,7 @@ class SimplicialComplex:
             dual = self._small_dual()
             if dual is None:
                 out = set()
-                for f in self._facets:
+                for f in self.facets:
                     out.update(submasks(f))
             else:
                 support = self._support
@@ -185,7 +206,7 @@ class SimplicialComplex:
 
     def has_face(self, sigma) -> bool:
         m = mask_of(sigma)
-        return any(m & ~f == 0 for f in self._facets)
+        return any(m & ~f == 0 for f in self.facets)
 
     def faces_by_dim(self) -> dict[int, list[int]]:
         """Faces grouped by dimension, each list sorted by vertex tuple."""
@@ -242,20 +263,20 @@ class SimplicialComplex:
         """Link of a face; the link of a non-face is the void complex."""
         m = mask_of(sigma)
         return SimplicialComplex(
-            [f & ~m for f in self._facets if m & ~f == 0], ambient=self.ambient
+            [f & ~m for f in self.facets if m & ~f == 0], ambient=self.ambient
         )
 
     def star(self, sigma) -> SimplicialComplex:
         m = mask_of(sigma)
         return SimplicialComplex(
-            [f for f in self._facets if m & ~f == 0], ambient=self.ambient
+            [f for f in self.facets if m & ~f == 0], ambient=self.ambient
         )
 
     def deletion(self, sigma) -> SimplicialComplex:
         """Faces not containing sigma; deleting ∅ leaves the void complex."""
         m = mask_of(sigma)
         out = []
-        for f in self._facets:
+        for f in self.facets:
             if m & ~f:
                 out.append(f)
             else:
@@ -271,7 +292,7 @@ class SimplicialComplex:
         if d >= self.dim:
             return self
         out = []
-        for f in self._facets:
+        for f in self.facets:
             if f.bit_count() <= d + 1:
                 out.append(f)
             else:
@@ -283,7 +304,7 @@ class SimplicialComplex:
         shift = self.ambient
         ambient = self.ambient + other.ambient
         return SimplicialComplex(
-            [f | (g << shift) for f in self._facets for g in other._facets],
+            [f | (g << shift) for f in self.facets for g in other.facets],
             ambient=ambient,
         )
 
@@ -310,7 +331,7 @@ class SimplicialComplex:
         support, or None as soon as the walk finds more than ``limit`` dual
         faces (no limit when None). The walk tries only the vertices of
         ``ground``, so gaps in its vertex numbers cost nothing."""
-        blocked = {ground & ~f for f in self._facets}
+        blocked = {ground & ~f for f in self.facets}
         if 0 in blocked:
             return SimplicialComplex([], ambient=self.ambient)
         singles = [1 << v for v in bits(ground)]
@@ -347,7 +368,7 @@ class SimplicialComplex:
         if self._dual is _UNDECIDED:
             n = self._support.bit_count()
             dual = None
-            sizes = Counter(f.bit_count() for f in self._facets)
+            sizes = Counter(f.bit_count() for f in self.facets)
             bound = sum(min(comb(n, s), sum(c * comb(m, s) for m, c in sizes.items())) for s in range(n + 1))
             if bound << 1 > 1 << n:
                 dual = self._dual_within(self._support, ((1 << n) - 1) >> 1)
@@ -366,14 +387,18 @@ class SimplicialComplex:
         k-subsets all induce connected subgraphs. Those below size k are
         counted, not listed, and the walk stops past the 2^(n-1) - 1 faces
         ``_small_dual`` allows, so both pick the same side; when it stops,
-        ``_small_dual`` is None without a walk of its own."""
+        ``_small_dual`` is None without a walk of its own. It also stops
+        after the connected k-sets when they leave at most 2^(k-1)
+        disconnected ones: that many facets of n - k vertices have at most
+        2^(n-1) faces, so D is not the smaller side, and ``_small_dual``'s
+        bound from the facet sizes says the same."""
         if self._levels is _UNDECIDED:
             levels = None
             if self._cut is not None:
                 g, k = self._cut
                 budget = (((1 << g.n) - 1) >> 1) - sum(comb(g.n, s) for s in range(k))
                 if budget >= 0:
-                    levels = connected_levels(g, k, budget)
+                    levels = connected_levels(g, k, budget, comb(g.n, k) - (1 << k - 1) - 1)
                 if levels is None and self._dual is _UNDECIDED:
                     self._dual = None
             self._levels = levels
@@ -400,7 +425,7 @@ class SimplicialComplex:
         if self.is_void:
             return {"state": "void"}
         return {
-            "facets": [list(to_tuple(f)) for f in self._facets],
+            "facets": [list(to_tuple(f)) for f in self.facets],
             "ambient": self.ambient,
         }
 
@@ -428,15 +453,15 @@ class SimplicialComplex:
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._facets == other._facets
+        return self.facets == other.facets
 
     def __hash__(self):
-        return hash(self._facets)
+        return hash(self.facets)
 
     def __repr__(self):
         if self.is_void:
             return "SimplicialComplex(void)"
-        return f"SimplicialComplex({len(self._facets)} facets, dim {self.dim})"
+        return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
 
 
 def relabel_densely(cx: SimplicialComplex) -> SimplicialComplex:
@@ -447,7 +472,7 @@ def relabel_densely(cx: SimplicialComplex) -> SimplicialComplex:
     if len(verts) == cx.ambient:
         return cx
     pos = {v: i for i, v in enumerate(verts)}
-    return SimplicialComplex([mask_of(pos[v] for v in to_tuple(f)) for f in cx._facets])
+    return SimplicialComplex([mask_of(pos[v] for v in to_tuple(f)) for f in cx.facets])
 
 
 def from_facets(faces, ambient: int | None = None) -> SimplicialComplex:

@@ -3,12 +3,13 @@
 The k-cut complex of a graph G on n vertices is generated by the complements
 of the k-subsets that induce disconnected subgraphs; its facets are the
 separating (n-k)-sets. This module holds everything specific to that
-construction: enumeration of disconnected k-sets (from the graph's
-minimal separators, or by a sweep of all k-sets when that is cheaper), the
-connected-subset census, the census formula for the reduced Euler
-characteristic when the complex holds the complete skeleton of its ridge
-dimension, ridge recursion between consecutive k, realization of
-arbitrary pure complexes as cut complexes of chordal graphs, and the
+construction: enumeration of disconnected k-sets (from the graph's minimal
+separators, or by a sweep of all k-sets when that is cheaper), run only
+when the facets are first read if a degree test shows that they cover every
+vertex; the connected-subset census; the census formula for the reduced
+Euler characteristic when the complex holds the complete skeleton of its
+ridge dimension; ridge recursion between consecutive k; realization of
+arbitrary pure complexes as cut complexes of chordal graphs; and the
 closed-form Betti predictions for the graph families with known answers.
 
 The Betti predictions are pure dispatchers over closed forms: they never
@@ -82,12 +83,54 @@ def cut_complex(g: Graph, k: int) -> SimplicialComplex:
     its f-vector and homology can come from the connected k-sets of g
     (``SimplicialComplex._connected_dual``). Over a vertex in no facet the
     dual would hold every set that misses it, so it is never the smaller
-    side there and the complex is left as it is."""
+    side there and the complex is left as it is.
+
+    When ``_covers_every_vertex`` shows that cover from the vertex degrees,
+    the support is V(g) and the dimension n - k - 1, so the connected-set
+    walk runs first. If it finds the dual the smaller side, the facets are
+    listed only when first read, and counts and homology never read them.
+    Otherwise, and when the test fails, they are listed now, so counts on
+    the primal side read a complex that is already built. The walk stops
+    early when there are few facets (``_connected_dual``)."""
     full = g.full_mask
-    cx = SimplicialComplex([full ^ m for m in disconnected_ksets(g, k)], ambient=g.n)
+
+    def listed():
+        return SimplicialComplex([full ^ m for m in disconnected_ksets(g, k)], ambient=g.n)
+
+    if _covers_every_vertex(g, k):
+        cx = SimplicialComplex._listed_on_read(listed, full, g.n - k - 1, g.n)
+        cx._cut = (g, k)
+        if cx._connected_dual() is None:
+            cx.facets  # the primal is the smaller side: its counts read every facet
+        return cx
+    cx = listed()
     if cx._support == full:
         cx._cut = (g, k)
     return cx
+
+
+def _covers_every_vertex(g: Graph, k: int) -> bool:
+    """A sufficient test, in O(n) mask operations, that every vertex of g
+    lies in a facet of the k-cut complex, i.e. misses some disconnected
+    k-set.
+
+    For k >= 2, a vertex a with k - 1 or more non-neighbours and any k - 1 of
+    them form a disconnected k-set, as a is isolated in it. With k or more
+    non-neighbours these sets miss every vertex other than a; with exactly
+    k - 1 the one such set misses the neighbours of a. The test is whether
+    those vertices cover V(g), and V(g) must be nonempty for a facet to
+    exist."""
+    if k < 2:
+        return False
+    full = g.full_mask
+    covered = 0
+    for a, near in enumerate(g.adj):
+        far = g.n - 1 - near.bit_count()
+        if far >= k:
+            covered |= full ^ 1 << a
+        elif far == k - 1:
+            covered |= near
+    return g.n > 0 and covered == full
 
 
 def connected_kset_census(g: Graph, k: int, anchor: int | None = None) -> int:
@@ -119,9 +162,10 @@ def skeleton_condition_euler(g: Graph, cx: SimplicialComplex) -> tuple[bool, int
     skeleton of its ridge dimension n-k-2; when it does, return the reduced
     Euler characteristic from the census formula.
 
-    The disconnected k-sets are the complements of the facets, and k is n
-    minus the facet size. The paper states the condition as: for every
-    connected k-subset A and every x outside A there is a y in A with
+    The disconnected k-sets are the complements of the facets, so k is n
+    minus the facet size, read as n - 1 - dim, and their number is the count
+    of top faces; no facet is listed. The paper states the condition as: for
+    every connected k-subset A and every x outside A there is a y in A with
     (A - y) + x disconnected. The k-subsets of A + x other than A are these
     (A - y) + x, so it says that every (k+1)-set holds a disconnected k-set,
     that is, every (n-k-1)-set is a face. When it holds,
@@ -130,12 +174,12 @@ def skeleton_condition_euler(g: Graph, cx: SimplicialComplex) -> tuple[bool, int
     if cx.is_void:
         raise ValueError("void cut complex: the condition does not apply")
     n = g.n
-    k = n - cx.facets[0].bit_count()
+    k = n - cx.dim - 1
     if not (2 <= k <= n - 1):
         raise ValueError("condition needs 2 <= k <= n-1")
     if cx.complete_skeleton_dim() < n - k - 2:
         return False, None
-    z = comb(n, k) - len(cx.facets)
+    z = comb(n, k) - cx.f_vector()[-1]
     return True, (comb(n - 1, k - 1) - z) * (-1 if (n - k - 1) % 2 else 1)
 
 

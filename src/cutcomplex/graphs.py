@@ -388,19 +388,24 @@ def connected_ksets(g: Graph, k: int) -> Iterator[int]:
                 stack.append((sub | w, ext | adj[u] & above & ~near, near | adj[u], size + 1))
 
 
-def connected_levels(g: Graph, k: int, budget: int | None = None) -> list[list[int]] | None:
+def connected_levels(
+    g: Graph, k: int, budget: int | None = None, first: int | None = None
+) -> list[list[int]] | None:
     """The vertex sets of size k, k + 1, ... whose k-subsets all induce
     connected subgraphs, one list per size, each in lexicographic order of
-    vertex tuples; None as soon as more than ``budget`` sets are listed (no
-    limit when None).
+    vertex tuples; None as soon as more than ``budget`` sets are listed, or
+    the first level holds more than ``first`` sets (no limit when None).
 
     The first level is ``connected_ksets``. A larger set qualifies iff its
     one-smaller subsets all do, so each level extends the sets of the one
     below by a vertex past their highest and keeps the extensions whose other
     one-smaller subsets are there too; extensions of sets in lexicographic
-    order come out in that order."""
+    order come out in that order. Which extensions of a set t lie in a level
+    is kept as one mask of vertices, ``up[t]``, so a candidate set is checked
+    by ANDing masks rather than by a lookup per subset."""
     levels: list[list[int]] = []
     level = connected_ksets(g, k)
+    up: dict[int, int] = {}
     while True:
         listed = list(islice(level, None if budget is None else budget + 1))
         if budget is not None:
@@ -409,19 +414,42 @@ def connected_levels(g: Graph, k: int, budget: int | None = None) -> list[list[i
                 return None
         if not listed:
             return levels
-        levels.append(listed if levels else sorted(listed, key=to_tuple))
-        level = _extensions(g, levels[-1])
+        if not levels:
+            if first is not None and len(listed) > first:
+                return None
+            listed.sort(key=to_tuple)
+            for m in listed:
+                top = 1 << m.bit_length() - 1
+                up[m ^ top] = up.get(m ^ top, 0) | top
+        levels.append(listed)
+        grown: dict[int, int] = {}
+        level = _extensions(listed, up, grown)
+        up = grown
 
 
-def _extensions(g: Graph, level: list[int]) -> Iterator[int]:
+def _extensions(level: list[int], up: dict[int, int], grown: dict[int, int]) -> Iterator[int]:
     """The sets m + u, for m in ``level`` and u past the highest vertex of m,
-    whose one-smaller subsets all lie in ``level``."""
-    below = set(level)
+    whose one-smaller subsets all lie in ``level``.
+
+    ``up`` maps each set t one smaller than those of ``level`` to the mask of
+    the vertices u past t's highest with t + u in ``level``, and a missing t
+    to 0. Then m + u qualifies iff u lies in up[m - v] for every v in m, so
+    the extensions of m are the AND of those masks past m's highest vertex.
+    They are stored as ``grown[m]``, the same map one level up."""
     for m in level:
-        for u in bits(g.full_mask >> m.bit_length() << m.bit_length()):
-            grown = m | 1 << u
-            if all(grown ^ 1 << v in below for v in bits(m)):
-                yield grown
+        high = m.bit_length()
+        top = 1 << high - 1
+        ext = up.get(m ^ top, 0) >> high << high
+        for v in bits(m ^ top):
+            if not ext:
+                break
+            ext &= up.get(m ^ 1 << v, 0)
+        if ext:
+            grown[m] = ext
+            while ext:
+                u = ext & -ext
+                ext ^= u
+                yield m | u
 
 
 def _flood(reach, seen: int, m: int) -> int:

@@ -190,6 +190,33 @@ def test_build_sweeps_the_ksets_once(monkeypatch, capsys):
     assert calls == [3]
 
 
+def test_homology_never_lists_the_facets_that_build_prints(monkeypatch, capsys):
+    import cutcomplex.cuts as cuts
+
+    def refuse(g, k):
+        raise AssertionError("the disconnected k-sets were listed")
+
+    monkeypatch.setattr(cuts, "disconnected_ksets", refuse)
+    code, out, _ = run(capsys, "homology", "path:22", "--k", "6", "--json")
+    homology = [{"dim": i, "rank": 20332 if i == 15 else 0, "torsion": []} for i in range(-1, 16)]
+    assert code == 0 and out == json.dumps({
+        "euler_consistent": True, "graph": "path:22", "homology": homology, "k": 6, "mu": -20332, "n": 22,
+        "predicted": {"count": 20332, "dim": 15, "status": "wedge"}, "predicted_matches": True,
+    }, sort_keys=True) + "\n"
+    with pytest.raises(AssertionError, match="the disconnected k-sets were listed"):
+        main(["build", "path:10", "--k", "3", "--json"])
+
+
+def test_build_of_the_smallest_path_is_pinned(capsys):
+    # Δ_2(P_3) has the one facet {1}: the cover test fails, so its facets are listed at once
+    code, out, _ = run(capsys, "build", "path:3", "--k", "2", "--json")
+    assert code == 0 and out == (
+        '{"complex": {"ambient": 3, "facets": [[1]]}, "connected_kset_count": 2, "f_vector": [1, 1], '
+        '"facet_count": 1, "graph": "path:3", "k": 2, "mu": 0, "mu_census_formula": 0, "n": 3, '
+        '"skeleton_condition": true}\n'
+    )
+
+
 def test_build_reports_a_census_formula_mismatch(monkeypatch, capsys):
     import cutcomplex.cli as cli
 

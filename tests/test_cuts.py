@@ -11,6 +11,7 @@ from cutcomplex import (
     BettiPrediction,
     FamilySpecError,
     NotCoveredError,
+    SimplicialComplex,
     cartesian_product,
     connected_kset_census,
     cut_complex,
@@ -77,6 +78,88 @@ def test_cut_complex_dimension():
     for k in (2, 3, 4):
         cx = cut_complex(family("cycle:7"), k)
         assert cx.dim == 7 - k - 1
+
+
+def test_cut_complex_rejects_k_below_one_at_construction():
+    # path:10 passes the cover test for 2 <= k <= 8; a k below 1 still
+    # raises when the complex is built
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            cut_complex(family("path:10"), k)
+
+
+# -- facets listed on first read -------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.floats(0.0, 1.0), st.integers(0, 3), st.integers(0, 10_000))
+@example(0, 0.0, 0, 0)  # no vertex: every vertex is covered, yet there is no facet
+@example(8, 0.0, 0, 0)  # edgeless: every k from 2 to 7 defers its facets
+@example(9, 1.0, 1, 0)  # K_8 plus an isolated vertex: the cover test fails
+def test_deferred_facets_match_the_eager_complex(n, p, isolated, seed):
+    # the last ``isolated`` vertices have no edges; dense graphs and isolated
+    # vertices are where the cover test fails and the facets are listed at once
+    edges = [e for e in random_graph(random.Random(seed), n, p).edges() if max(e) < n - isolated]
+    g = from_edge_list(n, edges)
+    full = g.full_mask
+    for k in range(1, n + 3):
+        eager = SimplicialComplex([full ^ m for m in disconnected_ksets(g, k)], ambient=n)
+        covers = cuts._covers_every_vertex(g, k)
+        assert not covers or eager.vertices() == tuple(range(n)), k  # never a false claim
+        cx = cut_complex(g, k)
+        if covers and cx._connected_dual() is not None:
+            assert cx._facets is None
+        assert (cx.dim, cx.is_void, cx.is_empty_complex, cx.vertices(), cx.ambient) == (
+            eager.dim, eager.is_void, eager.is_empty_complex, eager.vertices(), eager.ambient)
+        assert (cx._cut is not None) == (eager.vertices() == tuple(range(n)))
+        if not eager.is_void:
+            assert cx.f_vector() == eager.f_vector()
+            assert cx.reduced_euler() == eager.reduced_euler()
+            assert reduced_homology(cx) == reduced_homology(eager)
+        assert cx.facets == eager.facets
+        assert cx == eager and hash(cx) == hash(eager)
+
+
+def test_homology_of_a_covered_cut_complex_lists_no_facet(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the facets were listed")
+
+    monkeypatch.setattr(cuts, "disconnected_ksets", refuse)
+    g = family("path:22")
+    cx = cut_complex(g, 6)
+    assert cx._facets is None and cx._cut == (g, 6)
+    assert (cx.dim, cx.vertices()) == (15, tuple(range(22)))
+    rep = reduced_homology(cx)
+    assert rep.side == "connected" and rep.nonzero_dims() == [15] and rep.betti(15) == 20332
+    assert cx.reduced_euler() == -20332
+    assert skeleton_condition_euler(g, cx) == (True, -20332)
+    with pytest.raises(AssertionError, match="the facets were listed"):
+        cx.facets
+
+
+def test_few_facets_are_listed_without_walking_the_dual(monkeypatch):
+    # K_12 minus two disjoint edges: two facets of 10 vertices have at most
+    # 2^11 faces, so the dual (its 2^8 * 9 cliques) is not the smaller side,
+    # and the walk stops after the connected 2-sets
+    n = 12
+    g = from_edge_list(n, [e for e in combinations(range(n), 2) if e not in ((0, 1), (2, 3))])
+    eager = from_facets([[v for v in range(n) if v not in e] for e in ((0, 1), (2, 3))])
+
+    def refuse(*args):
+        raise AssertionError("the walk went past the connected k-sets")
+
+    monkeypatch.setattr(graphs, "_extensions", refuse)
+    cx = cut_complex(g, 2)
+    assert cx._facets is not None and cx._connected_dual() is None and cx._small_dual() is None
+    assert cx == eager and cx.f_vector() == eager.f_vector()
+    assert reduced_homology(cx) == reduced_homology(eager)
+
+
+def test_realized_graphs_fail_the_cover_test():
+    # an apex vertex of a realized graph is in no facet, so its facets are listed at once
+    g, k = realize_as_cut_complex(from_facets(RP2_FACETS))
+    assert not cuts._covers_every_vertex(g, k)
+    assert cut_complex(g, k)._facets is not None
 
 
 def test_nesting_inclusion():

@@ -340,6 +340,9 @@ def test_connected_levels_match_brute_force(n, p, seed):
         total = sum(map(len, want))
         assert connected_levels(g, k, total) == levels
         assert total == 0 or connected_levels(g, k, total - 1) is None
+        if want:  # a cap on the first level alone
+            assert connected_levels(g, k, None, len(want[0])) == levels
+            assert connected_levels(g, k, None, len(want[0]) - 1) is None
 
 
 def test_connected_ksets_examples():
