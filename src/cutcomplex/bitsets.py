@@ -80,6 +80,7 @@ def to_tuple(mask: int) -> tuple[int, ...]:
 # run in C, with no Python step per mask.
 _NONZERO_DIGITS = b"0" + b"1" * 255  # bytes.translate table: byte value -> digit
 _LOW_BITS = _grown({}, 255)[0]  # the set bit positions of each byte value
+_DECREMENT = bytes([0, *range(255)])  # bytes.translate table: byte value x -> max(x - 1, 0)
 
 
 def mask_bytes(masks: list[int], width: int, values: Iterable[int] | None = None) -> bytearray:
@@ -103,6 +104,20 @@ def bytes_bitmap(flags: bytes | bytearray, value: int | None = None) -> int:
         digits = bytearray(b"0" * 256)
         digits[value] = ord("1")
     return int(flags.translate(digits)[::-1] or b"0", 2)
+
+
+def small_masks(n: int, top: int, without: Iterable[int] = ()) -> int:
+    """The bitmap of the masks in 0..2^n - 1 with at most ``top`` set bits,
+    0 <= top < 255, other than those of ``without``. Byte m of its table
+    holds max(top + 1 - |m|, 0), filled by doubling: the masks with bit v
+    follow those without, one bit larger. The table is allocated first, so
+    a width too large to hold fails before any of it is filled."""
+    flags = bytearray(1 << n)
+    flags[0] = top + 1
+    for v in range(n):
+        flags[1 << v:2 << v] = flags[:1 << v].translate(_DECREMENT)
+    deque(map(flags.__setitem__, without, repeat(0)), maxlen=0)
+    return bytes_bitmap(flags)
 
 
 def bitmap_masks(bitmap: int) -> list[int]:

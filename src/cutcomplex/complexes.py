@@ -8,40 +8,48 @@ of its facets, its vertex set) may be a proper subset of the ambient range.
 
 Cut complexes have few facets but exponentially many faces; their Alexander
 duals are small, though. A complex whose dual has fewer faces memoizes that
-dual and reads its f-vector from it (combinatorial Alexander duality), so
-counts never list the larger side. That dual is taken over the support, since
-over an ambient vertex in no facet it could never be the smaller side; only
-the public ``alexander_dual()`` is taken over the ambient set. Faces are
-listed only when a caller needs each one, such as a Morse matching on a
-sparse complex, and are then memoized. With a small dual they come from it: a
-subset of the support is a face iff its complement in the support is not a
-dual face. Otherwise the submasks of every facet are walked. When the faces
-fill at least half of the masks below the support's top bit, ``face_bitmap``
-gives them as one int instead, for Morse matchings on dense complexes.
+dual and reads its f-vector, homology and faces from it (combinatorial
+Alexander duality), so nothing lists the larger side. The dual's minimal
+non-faces are the facet complements, so it holds every set below the
+smallest complement's size s0: the memo is s0 and the dual's faces from
+size s0 up, one list per size, and the complete skeleton below is counted,
+never listed. One level walk fills it, growing each level from the one
+below through masks of one-vertex extensions. A cut complex whose facets
+cover its graph's vertices remembers the graph and k and starts the walk
+from the connected k-sets (s0 = k); any other complex starts it from the
+sets of size s0 that are not facet complements, with the larger complements
+blocked. The dual is taken over the support, since over an ambient vertex
+in no facet it could never be the smaller side; only the public
+``alexander_dual()`` is taken over the ambient set.
 
-A cut complex whose facets cover its graph's vertices remembers the graph
-and k, and counts its faces from the connected k-sets of the graph instead,
-which never lists the dual's complete skeleton. When ``cuts.cut_complex``
-knows its support and dimension from the graph, it may even leave the
-facets unlisted until they are first read; counts and homology on the
-connected-set route never read them. The lazy caches, the facets included,
-are write-once and idempotent, so complexes stay safe to share across
-threads.
+Faces are listed only when a caller needs each one, such as a Morse matching
+on a sparse complex, and are then memoized. With a small dual a subset of
+the support is a face iff its complement in the support is not a dual face;
+otherwise the submasks of every facet are walked. When the faces fill at
+least half of the masks below the support's top bit, ``face_bitmap`` gives
+them as one int instead, for Morse matchings on dense complexes. When
+``cuts.cut_complex`` knows a cut complex's support and dimension from the
+graph, it may leave the facets unlisted until they are first read; counts,
+homology and Morse matchings on the dual side never read them. The lazy
+caches, the facets included, are write-once and idempotent, so complexes
+stay safe to share across threads.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, defaultdict
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from operator import or_
+from typing import Iterable, Iterator
 
-from .bitsets import bits, bytes_bitmap, mask_bytes, mask_of, submasks, to_tuple
-from .graphs import connected_levels
+from .bitsets import bits, mask_of, small_masks, submasks, to_tuple
+from .graphs import connected_ksets
 
 NEG_INF = float("-inf")
-_UNDECIDED = object()  # the small-dual memo before it is computed
+_UNDECIDED = object()  # the dual memo before it is computed
 
 
 def _normalize(face_masks):
@@ -70,8 +78,78 @@ def _top_dim(facets) -> int | float:
     return max(map(int.bit_count, facets), default=NEG_INF) - 1
 
 
+def _walk_levels(first: Iterable[int], budget: int, cap: int, blocked) -> list[list[int]] | None:
+    """The sets of ``first``, all of one size, then each larger size's sets
+    whose one-smaller subsets all lie in the level below and that are not
+    in ``blocked``, up to the first empty level: one list per size, each in
+    lexicographic order of vertex tuples. None as soon as more than
+    ``budget`` sets are listed, or the first level holds more than ``cap``.
+
+    Extensions of sets in lexicographic order come out in that order. Which
+    extensions of a set t lie in a level is kept as one mask of vertices,
+    ``up[t]``, so a candidate set is checked by ANDing masks rather than by
+    a lookup per subset; the blocked sets are kept the same way."""
+    listed = sorted(islice(first, min(budget, cap, sys.maxsize - 1) + 1), key=to_tuple)
+    if len(listed) > min(budget, cap):
+        return None
+    up, block = _up_masks(listed), _up_masks(blocked)
+    levels = []
+    while listed:
+        levels.append(listed)
+        budget -= len(listed)
+        grown: dict[int, int] = {}
+        listed = list(islice(_extensions(listed, up, block, grown), min(budget, sys.maxsize - 1) + 1))
+        if len(listed) > budget:
+            return None
+        up = grown
+    return levels
+
+
+def _up_masks(sets: Iterable[int]) -> dict[int, int]:
+    """Map each set t one smaller than a nonempty set of ``sets`` to the
+    mask of the vertices u past t's highest with t + u in ``sets``."""
+    up: dict[int, int] = {}
+    for m in sets:
+        top = 1 << m.bit_length() - 1
+        up[m ^ top] = up.get(m ^ top, 0) | top
+    return up
+
+
+def _extensions(level: list[int], up: dict[int, int], block: dict[int, int], grown: dict[int, int]) -> Iterator[int]:
+    """The sets m + u, for m in ``level`` and u past the highest vertex of m,
+    whose one-smaller subsets all lie in ``level`` and that ``block`` does
+    not hold.
+
+    ``up`` is ``_up_masks(level)`` and ``block`` that of the blocked sets,
+    a missing set mapping to 0. Then m + u qualifies iff u lies in up[m - v]
+    for every v in m and not in block[m], so the extensions of m are the
+    AND of those masks past m's highest vertex. They are stored as
+    ``grown[m]``, the same map one level up."""
+    for m in level:
+        high = m.bit_length()
+        top = 1 << high - 1
+        ext = up.get(m ^ top, 0) >> high << high & ~block.get(m, 0)
+        for v in bits(m ^ top):
+            if not ext:
+                break
+            ext &= up.get(m ^ 1 << v, 0)
+        if ext:
+            grown[m] = ext
+            while ext:
+                u = ext & -ext
+                ext ^= u
+                yield m | u
+
+
+def _dual_faces(ground: int, s0: int, levels: list[list[int]]) -> Iterator[int]:
+    """Every face of the dual over ``ground`` that holds all its subsets
+    below size s0 and then the faces of ``levels``."""
+    singles = [1 << v for v in bits(ground)]
+    return chain(*(map(sum, combinations(singles, s)) for s in range(s0)), *levels)
+
+
 class SimplicialComplex:
-    __slots__ = ("_facets", "_listing", "ambient", "_dim", "_support", "_faces", "_fvec", "_dual", "_cut", "_levels")
+    __slots__ = ("_facets", "_listing", "ambient", "_dim", "_support", "_faces", "_fvec", "_dual", "_cut")
 
     def __init__(self, faces, ambient: int | None = None):
         """Build the complex generated by ``faces`` (bitmasks or vertex
@@ -100,7 +178,6 @@ class SimplicialComplex:
         self._fvec = None
         self._dual = _UNDECIDED
         self._cut = None  # (g, k) when cuts.cut_complex built this over all of V(g)
-        self._levels = _UNDECIDED  # the connected-set memo before it is computed
 
     @classmethod
     def _from_faces(cls, faces: set, ambient: int) -> SimplicialComplex:
@@ -165,25 +242,25 @@ class SimplicialComplex:
     def face_set(self) -> frozenset:
         """Every face, the empty face included. Memoized.
 
-        With a smaller Alexander dual the faces come from the dual's: a subset
-        m of the support is a face iff ``support ^ m`` is not a dual face. The
-        dual is small only when this complex holds more than half of the 2^n
-        subsets of its n-vertex support, so one pass over all of them costs
-        at most twice the output. Otherwise every submask of every facet is
-        walked."""
+        With a smaller Alexander dual the faces come from it: a subset m of
+        the support is a face iff ``support ^ m`` is not a dual face, either
+        one below size s0 or a listed one. The dual is small only when this
+        complex holds more than half of the 2^n subsets of its n-vertex
+        support, so one pass over all of them costs at most twice the
+        output. Otherwise every submask of every facet is walked."""
         if self._faces is None:
-            dual = self._small_dual()
+            dual = self._dual_levels()
+            out = set()
             if dual is None:
-                out = set()
                 for f in self.facets:
                     out.update(submasks(f))
             else:
                 support = self._support
                 run = support & ~(support + 1)  # vertices 0..j-1, the support's low run
-                out = set(range(run + 1))  # the subsets of run, doubled over each further vertex
+                out.update(range(run + 1))  # the subsets of run, doubled over each further vertex
                 for v in bits(support ^ run):
                     out.update([m | 1 << v for m in out])
-                out.difference_update([support ^ m for m in dual.face_set()])
+                out.difference_update([support ^ m for m in _dual_faces(support, *dual)])
             self._faces = frozenset(out)
         return self._faces
 
@@ -195,14 +272,15 @@ class SimplicialComplex:
         A small Alexander dual means the faces are more than half of the 2^n
         subsets of the n-vertex support, so they fill half the 2^b masks iff
         the support has no gap (n = b). Every mask below 2^b is then a subset
-        of the support, and it is a face iff ``support ^ m`` is not a dual
-        face. The bitmap costs at most two bits per face."""
+        of the support, and it is a face iff it has at most n - s0 vertices
+        and ``support ^ m`` is in no listed level. The bitmap costs at most
+        two bits per face."""
         support = self._support
-        dual = self._small_dual()
+        dual = self._dual_levels()
         if dual is None or support & (support + 1):
             return None
-        width = support + 1
-        return ((1 << width) - 1) ^ bytes_bitmap(mask_bytes([support ^ m for m in dual._faces], width))
+        n = support.bit_count()
+        return small_masks(n, n - dual[0], [support ^ m for level in dual[1] for m in level])
 
     def has_face(self, sigma) -> bool:
         m = mask_of(sigma)
@@ -220,32 +298,26 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_d); errors on the void complex. Memoized.
 
-        With a smaller Alexander dual the counts come from the dual's faces:
-        a set of size s is a face iff its complement is not a dual face, so
+        With a smaller Alexander dual the counts come from its levels: a set
+        of size s is a face iff its complement is not a dual face, so
         f_{s-1}(Δ) = C(n, s) - #{dual faces of size n - s} over the n-vertex
-        support (Björner and Tancer, DCG 2009). The dual's counts are its
-        level sizes for a cut complex on the connected-set route, and the
-        small dual's faces otherwise; without a smaller dual the faces are
-        counted directly."""
+        support (Björner and Tancer, DCG 2009). The dual holds all C(n, s)
+        sets of each size s below s0 and the listed ones above. Without a
+        smaller dual the faces are counted directly."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
         if self._fvec is None:
             size = self.dim + 2
-            n = self._support.bit_count()
-            co = None  # the dual's face counts by size
-            levels = self._connected_dual()
-            if levels is not None:
-                co = [comb(n, s) for s in range(self._cut[1])] + [len(lv) for lv in levels]
-                co += [0] * (n + 1 - len(co))
-            elif self._small_dual() is not None:
-                co = [0] * (n + 1)
-                for m in self._small_dual().face_set():
-                    co[m.bit_count()] += 1
-            if co is None:
+            dual = self._dual_levels()
+            if dual is None:
                 counts = [0] * size
                 for m in self.face_set():
                     counts[m.bit_count()] += 1
             else:
+                n = self._support.bit_count()
+                s0, levels = dual
+                co = [comb(n, s) for s in range(s0)] + [len(level) for level in levels]
+                co += [0] * (n + 1 - len(co))
                 counts = [comb(n, s) - co[n - s] for s in range(size)]
             self._fvec = tuple(counts)
         return self._fvec
@@ -317,92 +389,70 @@ class SimplicialComplex:
     def alexander_dual(self) -> SimplicialComplex:
         """{V - σ : σ not a face} over the ambient vertex set V.
 
-        The dual's faces are the sets containing no complement of a facet,
-        and |Δ| + |Δ^∨| = 2^|V|. They are enumerated level by level: a set is
-        a face iff all its one-smaller subsets are faces and it is not itself
-        a facet complement (those are the dual's minimal non-faces). The
-        dual of the void complex is the full simplex, and the dual of the
-        full simplex is void.
+        The dual's minimal non-faces are the complements of the facets, so
+        it holds every set below the smallest complement's size and, from
+        there up, the levels ``_walk_dual`` lists. The dual of the void
+        complex is the full simplex, and the dual of the full simplex is
+        void.
         """
-        return self._dual_within((1 << self.ambient) - 1, None)
-
-    def _dual_within(self, ground: int, limit: int | None) -> SimplicialComplex | None:
-        """The Alexander dual over ``ground``, a vertex set that holds the
-        support, or None as soon as the walk finds more than ``limit`` dual
-        faces (no limit when None). The walk tries only the vertices of
-        ``ground``, so gaps in its vertex numbers cost nothing."""
-        blocked = {ground & ~f for f in self.facets}
-        if 0 in blocked:
+        ground = (1 << self.ambient) - 1
+        if self.is_void:
+            return SimplicialComplex([ground], ambient=self.ambient)
+        s0 = self.ambient - 1 - self.dim
+        if s0 == 0:
             return SimplicialComplex([], ambient=self.ambient)
-        singles = [1 << v for v in bits(ground)]
-        # start[m.bit_length()]: where the ground's vertices past m's top vertex begin
-        start = {b.bit_length(): i + 1 for i, b in enumerate(singles)}
-        faces = {0}
-        level = [b for b in singles if b not in blocked]
-        if limit is not None and 1 + len(level) > limit:
-            return None
-        while level:
-            faces.update(level)
-            nxt = []
-            for m in level:
-                for b in singles[start[m.bit_length()]:]:
-                    cand = m | b
-                    if cand in blocked:
-                        continue
-                    if all((cand & ~(1 << u)) in faces for u in bits(m)):
-                        nxt.append(cand)
-                        if limit is not None and len(faces) + len(nxt) > limit:
-                            return None
-            level = nxt
+        faces = set(_dual_faces(ground, s0, self._walk_dual(ground, 1 << self.ambient)))
         return SimplicialComplex._from_faces(faces, self.ambient)
 
-    def _small_dual(self) -> SimplicialComplex | None:
-        """The Alexander dual when it has fewer faces than this complex but
-        at least one, else None. Memoized; no face of this complex is listed.
+    def _walk_dual(self, ground: int, budget: int) -> list[list[int]] | None:
+        """The faces of the Alexander dual over ``ground``, a vertex set
+        that holds the support, from size s0 = |ground| - 1 - dim up, as
+        ``_walk_levels`` lists them within ``budget``. The first level is
+        the s0-sets of ``ground`` that are not facet complements, and the
+        larger complements are blocked. Only the vertices of ``ground`` are
+        tried, so gaps in its vertex numbers cost nothing."""
+        s0 = ground.bit_count() - 1 - self.dim
+        blocked = {ground ^ f for f in self.facets}
+        first = (m for m in map(sum, combinations([1 << v for v in bits(ground)], s0)) if m not in blocked)
+        return _walk_levels(first, budget, budget, blocked)
 
-        The dual is taken over the n-vertex support: |Δ| + |Δ^∨| = 2^n, so it
-        is the smaller side iff it has fewer than 2^(n-1) faces. Δ has at most
-        min(C(n, s), Σ_F C(|F|, s)) faces of size s; when these bounds sum to
-        at most 2^(n-1) the dual cannot be smaller and no walk runs. Otherwise
-        the dual walk stops past 2^(n-1) - 1 faces."""
+    def _dual_levels(self) -> tuple[int, list[list[int]]] | None:
+        """(s0, levels) for the Alexander dual D over the n-vertex support
+        when D has fewer faces than this complex but at least one; None
+        otherwise. Memoized; no face of this complex is listed.
+
+        D's minimal non-faces are the facet complements, so D holds every
+        set below s0 = n - 1 - dim, the smallest complement's size: those
+        are counted, never listed. ``levels[i]`` lists D's faces of size
+        s0 + i in lexicographic vertex order. |Δ| + |D| = 2^n, so D is the
+        smaller side iff it has fewer than 2^(n-1) faces, and the walk gives
+        up past 2^(n-1) - 1. s0 = 0 makes Δ the full simplex on its support,
+        whose dual is void.
+
+        Two producers fill the memo through the one level walk. For Δ_k(G)
+        from ``cuts.cut_complex`` with every vertex of G in a facet, s0 = k
+        and D's faces of size k are the connected k-sets of G, so no facet
+        is read. That walk also gives up right after them when they leave at
+        most 2^(k-1) disconnected k-sets, since that many facets of n - k
+        vertices have at most 2^(n-1) faces. Any other complex walks from
+        its facets, and only when Δ could hold more than 2^(n-1) faces: Δ
+        has at most min(C(n, s), Σ_F C(|F|, s)) faces of size s."""
         if self._dual is _UNDECIDED:
             n = self._support.bit_count()
-            dual = None
-            sizes = Counter(f.bit_count() for f in self.facets)
-            bound = sum(min(comb(n, s), sum(c * comb(m, s) for m, c in sizes.items())) for s in range(n + 1))
-            if bound << 1 > 1 << n:
-                dual = self._dual_within(self._support, ((1 << n) - 1) >> 1)
-                if dual is not None and dual.is_void:  # the full simplex
-                    dual = None
-            self._dual = dual
-        return self._dual
-
-    def _connected_dual(self) -> list[list[int]] | None:
-        """For Δ = Δ_k(G) from ``cuts.cut_complex`` with every vertex of G in
-        a facet: the faces of size k, k + 1, ... of its Alexander dual D, as
-        ``graphs.connected_levels`` lists them, when D has fewer faces than
-        Δ; None otherwise and for any other complex. Memoized.
-
-        D holds the Σ_{s<k} C(n, s) sets below size k and the sets whose
-        k-subsets all induce connected subgraphs. Those below size k are
-        counted, not listed, and the walk stops past the 2^(n-1) - 1 faces
-        ``_small_dual`` allows, so both pick the same side; when it stops,
-        ``_small_dual`` is None without a walk of its own. It also stops
-        after the connected k-sets when they leave at most 2^(k-1)
-        disconnected ones: that many facets of n - k vertices have at most
-        2^(n-1) faces, so D is not the smaller side, and ``_small_dual``'s
-        bound from the facet sizes says the same."""
-        if self._levels is _UNDECIDED:
+            s0 = n - 1 - self.dim
             levels = None
-            if self._cut is not None:
-                g, k = self._cut
-                budget = (((1 << g.n) - 1) >> 1) - sum(comb(g.n, s) for s in range(k))
-                if budget >= 0:
-                    levels = connected_levels(g, k, budget, comb(g.n, k) - (1 << k - 1) - 1)
-                if levels is None and self._dual is _UNDECIDED:
-                    self._dual = None
-            self._levels = levels
-        return self._levels
+            if not self.is_void and s0 > 0:
+                budget = (((1 << n) - 1) >> 1) - sum(comb(n, s) for s in range(s0))
+                if budget >= 0 and self._cut is not None:
+                    g, k = self._cut
+                    levels = _walk_levels(connected_ksets(g, k), budget, comb(n, k) - (1 << k - 1) - 1, ())
+                elif budget >= 0:
+                    sizes = Counter(f.bit_count() for f in self.facets)
+                    bound = sum(min(comb(n, s), sum(c * comb(m, s) for m, c in sizes.items())) for s in range(n + 1))
+                    if bound << 1 > 1 << n:
+                        levels = self._walk_dual(self._support, budget)
+            self._dual = None if levels is None else (s0, levels)
+        return self._dual
 
     # -- global properties ---------------------------------------------------
 

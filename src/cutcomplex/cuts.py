@@ -80,18 +80,22 @@ def cut_complex(g: Graph, k: int) -> SimplicialComplex:
     """Complex whose facets are complements of disconnected k-sets.
 
     When the facets cover every vertex of g, the complex remembers (g, k), so
-    its f-vector and homology can come from the connected k-sets of g
-    (``SimplicialComplex._connected_dual``). Over a vertex in no facet the
-    dual would hold every set that misses it, so it is never the smaller
-    side there and the complex is left as it is.
+    its dual memo (``SimplicialComplex._dual_levels``) grows the Alexander
+    dual from the connected k-sets of g. Over a vertex in no facet the dual
+    would hold every set that misses it, so it is never the smaller side
+    there and the complex is left as it is.
 
     When ``_covers_every_vertex`` shows that cover from the vertex degrees,
-    the support is V(g) and the dimension n - k - 1, so the connected-set
-    walk runs first. If it finds the dual the smaller side, the facets are
-    listed only when first read, and counts and homology never read them.
-    Otherwise, and when the test fails, they are listed now, so counts on
-    the primal side read a complex that is already built. The walk stops
-    early when there are few facets (``_connected_dual``)."""
+    the support is V(g) and the dimension n - k - 1, so the dual walk runs
+    first. If it finds the dual the smaller side, the facets are listed only
+    when first read, and counts, homology and Morse matchings never read
+    them. Otherwise, and when the test fails, they are listed now. The walk
+    runs here, not on the first count, so that any listing happens while
+    the complex is built: ``skeleton_condition_euler`` sweeps no k-set, yet
+    on the primal side its f-vector would list the facets, through the
+    k-set sweep of ``disconnected_ksets`` when the separator route gives
+    up, as on figure_eight:3,4 at k = 3. The walk stops early when there
+    are few facets."""
     full = g.full_mask
 
     def listed():
@@ -100,7 +104,7 @@ def cut_complex(g: Graph, k: int) -> SimplicialComplex:
     if _covers_every_vertex(g, k):
         cx = SimplicialComplex._listed_on_read(listed, full, g.n - k - 1, g.n)
         cx._cut = (g, k)
-        if cx._connected_dual() is None:
+        if cx._dual_levels() is None:
             cx.facets  # the primal is the smaller side: its counts read every facet
         return cx
     cx = listed()

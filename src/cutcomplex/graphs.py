@@ -16,16 +16,17 @@ of one per vertex. The table is built once per graph, by doubling.
 ``disconnected_masks`` runs the flood over a whole sweep of masks in one
 call, and ``separator_closure`` floods the components whose neighbourhoods
 are the graph's minimal separators, through the same helper. The connected
-k-sets are grown instead of swept (``connected_ksets``), and so are the
-larger sets whose k-subsets are all connected (``connected_levels``).
+k-sets are grown from their least vertex instead of swept
+(``connected_ksets``) unless k > n/2; they are the first level of the
+Alexander dual of the k-cut complex, which ``complexes`` walks upward from
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import combinations, islice
-from math import comb
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .bitsets import bits, ksubset_masks, mask_of, to_tuple
@@ -361,13 +362,12 @@ def connected_ksets(g: Graph, k: int) -> Iterator[int]:
     grown from its least vertex v, and each vertex added extends the
     candidates only by its neighbours above v that are not yet in or next to
     the set. That reaches each connected set exactly once, so the work
-    follows the connected sets of size at most k rather than C(n, k). Those
-    below size k can number Σ_{j<k} C(n, j); when that exceeds C(n, k), as
-    for k > n/2, a flood of every k-set is the cheaper bound and runs
-    instead."""
+    follows the connected sets of size at most k rather than C(n, k). For
+    k > n/2 the sets below size k can outnumber the k-sets, and a flood of
+    every k-set runs instead."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if comb(g.n, k) < sum(comb(g.n, j) for j in range(k)):
+    if 2 * k > g.n:
         reach = g.reach
         yield from (m for m in ksubset_masks(g.n, k) if _flood(reach, m & -m, m) & m == m)
         return
@@ -386,70 +386,6 @@ def connected_ksets(g: Graph, k: int) -> Iterator[int]:
                 ext ^= w
                 u = w.bit_length() - 1
                 stack.append((sub | w, ext | adj[u] & above & ~near, near | adj[u], size + 1))
-
-
-def connected_levels(
-    g: Graph, k: int, budget: int | None = None, first: int | None = None
-) -> list[list[int]] | None:
-    """The vertex sets of size k, k + 1, ... whose k-subsets all induce
-    connected subgraphs, one list per size, each in lexicographic order of
-    vertex tuples; None as soon as more than ``budget`` sets are listed, or
-    the first level holds more than ``first`` sets (no limit when None).
-
-    The first level is ``connected_ksets``. A larger set qualifies iff its
-    one-smaller subsets all do, so each level extends the sets of the one
-    below by a vertex past their highest and keeps the extensions whose other
-    one-smaller subsets are there too; extensions of sets in lexicographic
-    order come out in that order. Which extensions of a set t lie in a level
-    is kept as one mask of vertices, ``up[t]``, so a candidate set is checked
-    by ANDing masks rather than by a lookup per subset."""
-    levels: list[list[int]] = []
-    level = connected_ksets(g, k)
-    up: dict[int, int] = {}
-    while True:
-        listed = list(islice(level, None if budget is None else budget + 1))
-        if budget is not None:
-            budget -= len(listed)
-            if budget < 0:
-                return None
-        if not listed:
-            return levels
-        if not levels:
-            if first is not None and len(listed) > first:
-                return None
-            listed.sort(key=to_tuple)
-            for m in listed:
-                top = 1 << m.bit_length() - 1
-                up[m ^ top] = up.get(m ^ top, 0) | top
-        levels.append(listed)
-        grown: dict[int, int] = {}
-        level = _extensions(listed, up, grown)
-        up = grown
-
-
-def _extensions(level: list[int], up: dict[int, int], grown: dict[int, int]) -> Iterator[int]:
-    """The sets m + u, for m in ``level`` and u past the highest vertex of m,
-    whose one-smaller subsets all lie in ``level``.
-
-    ``up`` maps each set t one smaller than those of ``level`` to the mask of
-    the vertices u past t's highest with t + u in ``level``, and a missing t
-    to 0. Then m + u qualifies iff u lies in up[m - v] for every v in m, so
-    the extensions of m are the AND of those masks past m's highest vertex.
-    They are stored as ``grown[m]``, the same map one level up."""
-    for m in level:
-        high = m.bit_length()
-        top = 1 << high - 1
-        ext = up.get(m ^ top, 0) >> high << high
-        for v in bits(m ^ top):
-            if not ext:
-                break
-            ext &= up.get(m ^ 1 << v, 0)
-        if ext:
-            grown[m] = ext
-            while ext:
-                u = ext & -ext
-                ext ^= u
-                yield m | u
 
 
 def _flood(reach, seen: int, m: int) -> int:

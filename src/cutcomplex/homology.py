@@ -9,12 +9,10 @@ Everything is exact: the Smith reduction works on sparse rows of unbounded
 Python ints, pivoting on the first unit entry. Boundary matrices and Smith
 reduction run on whichever side of Alexander duality has fewer faces; for
 cut complexes that is usually the dual. The side is decided without listing
-a face of the larger side. A cut complex whose facets cover its graph's
-vertices takes its dual from the connected k-sets: the dual's complete
-(k - 2)-skeleton is counted, not listed, its boundary ranks are binomial
-coefficients, and Smith reduction runs only on the levels the connected
-k-sets generate. Any other complex takes the memoized small dual, walked
-over the complex's own vertices.
+a face of the larger side. A small dual is held as a complete skeleton
+below some size s0 plus listed levels from s0 up: the skeleton is counted,
+not listed, its boundary ranks are binomial coefficients, and Smith
+reduction runs only on the listed levels.
 """
 
 from __future__ import annotations
@@ -157,8 +155,8 @@ class HomologyReport:
     """Free rank and torsion coefficients per dimension, -1 through dim.
 
     ``side`` names the complex the groups were computed on: the "primal",
-    its Alexander "dual" from the dual walk, or, for a cut complex whose
-    facets cover the graph's vertices, the dual's faces from its
+    or its Alexander dual, walked from the facets ("dual") or, for a cut
+    complex whose facets cover the graph's vertices, grown from its
     "connected" k-sets. It is not part of equality or the JSON output."""
 
     ranks: dict
@@ -220,19 +218,20 @@ def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
     return _groups([1] + [m.ncols for m in mats], [smith_normal_form(m) for m in mats])
 
 
-def _connected_groups(n: int, k: int, levels: list[list[int]]) -> tuple[dict, dict]:
+def _dual_groups(n: int, s0: int, levels: list[list[int]]) -> tuple[dict, dict]:
     """The groups of D, the complex on n vertices that holds every set of
-    size below k and then the faces of size k, k + 1, ... in ``levels``.
+    size below s0 and then the faces of size s0, s0 + 1, ... in ``levels``.
 
-    D's (k - 2)-skeleton is that of the simplex, whose reduced chain complex
-    is exact, so rank ∂_i = C(n - 1, i) for i <= k - 2 with no torsion. Smith
-    reduction runs from ∂_{k-1} up; the rows of ∂_{k-1} are the (k - 1)-sets
-    that some face of size k holds, since the other rows are zero."""
+    D's (s0 - 2)-skeleton is that of the simplex, whose reduced chain
+    complex is exact, so rank ∂_i = C(n - 1, i) for i <= s0 - 2 with no
+    torsion. Smith reduction runs from ∂_{s0-1} up; the rows of ∂_{s0-1}
+    are the (s0 - 1)-sets that some face of size s0 holds, since the other
+    rows are zero."""
     rows = sorted({m & ~(1 << v) for m in levels[0] for v in bits(m)}, key=to_tuple) if levels else []
     mats = [_boundary(below, cols) for below, cols in zip([rows] + levels, levels)]
     return _groups(
-        [comb(n, s) for s in range(k)] + [len(level) for level in levels],
-        [((), comb(n - 1, i)) for i in range(k - 1)] + [smith_normal_form(m) for m in mats],
+        [comb(n, s) for s in range(s0)] + [len(level) for level in levels],
+        [((), comb(n - 1, i)) for i in range(s0 - 1)] + [smith_normal_form(m) for m in mats],
     )
 
 
@@ -254,36 +253,25 @@ def _shifted_groups(n: int, top: int, dual_groups: tuple[dict, dict]) -> tuple[d
     )
 
 
-def _dual_groups(cx: SimplicialComplex, dual: SimplicialComplex) -> tuple[dict, dict]:
-    """The same groups as ``_primal_groups``, computed on ``dual``, the
-    Alexander dual of ``cx`` over the n vertices of ``cx``. A void dual (that
-    of the full simplex) raises."""
-    return _shifted_groups(cx._support.bit_count(), cx.dim, _primal_groups(dual))
-
-
 def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     """Reduced integer homology, computed on the smaller Alexander-dual side.
 
     The dual has exactly 2^n - |Δ| faces over the n vertices of Δ's facets.
-    It is used when it has fewer faces than Δ. For a cut complex Δ_k(G)
-    whose facets cover V(G), the dual's faces of size k and up come from the
-    connected k-sets of G (``SimplicialComplex._connected_dual``, side
-    "connected"): the Σ_{s<k} C(n, s) faces below are counted, not listed,
-    and need no Smith reduction. Any other complex takes the capped dual walk
-    behind its small-dual memo (side "dual"), which decides the side without
-    listing a primal face. Both stop past 2^(n-1) - 1 dual faces, so they
-    pick the same side. Ties and the full simplex, whose dual is void, stay
-    primal. Duality is taken over the complex's own n vertices, since over
-    an ambient vertex in no facet the dual is never the smaller side.
+    It is used when it has fewer faces than Δ, as the complex's dual memo
+    (``SimplicialComplex._dual_levels``) holds it: the sets below size s0
+    are counted, not listed, and need no Smith reduction. ``side`` names
+    the memo's producer: "connected" for a cut complex Δ_k(G) whose facets
+    cover V(G), whose dual comes from the connected k-sets of G, and "dual"
+    for any other complex, whose dual is walked from its facets. Ties and
+    the full simplex, whose dual is void, stay "primal". Duality is taken
+    over the complex's own n vertices, since over an ambient vertex in no
+    facet the dual is never the smaller side.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
-    levels = cx._connected_dual()
-    if levels is not None:
-        n = cx._support.bit_count()
-        groups = _connected_groups(n, cx._cut[1], levels)
-        return HomologyReport(*_shifted_groups(n, cx.dim, groups), side="connected")
-    dual = cx._small_dual()
-    if dual is not None:
-        return HomologyReport(*_dual_groups(cx, dual), side="dual")
-    return HomologyReport(*_primal_groups(cx), side="primal")
+    dual = cx._dual_levels()
+    if dual is None:
+        return HomologyReport(*_primal_groups(cx), side="primal")
+    n = cx._support.bit_count()
+    side = "dual" if cx._cut is None else "connected"
+    return HomologyReport(*_shifted_groups(n, cx.dim, _dual_groups(n, *dual)), side=side)

@@ -71,6 +71,15 @@ def test_bitmaps_match_their_masks(case):
     assert bitsets.lacking(v, width) == sum(1 << m for m in range(width) if not m >> v & 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.lists(st.integers(0, (1 << n) - 1)))))
+def test_small_masks_match_their_sizes(case):
+    n, top, without = case
+    want = sum(1 << m for m in range(1 << n) if m.bit_count() <= top and m not in without)
+    assert bitsets.small_masks(n, top, without) == want
+
+
 def test_mask_bytes_rejects_masks_outside_the_width():
     for masks in ([-1], [0, 8], [3, -8]):  # an index of -1 would wrap to the last byte
         with pytest.raises(ValueError, match="not in 0..7"):

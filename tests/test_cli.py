@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,21 @@ def test_morse_on_a_face_bitmap_lists_no_faces(monkeypatch, capsys):
     monkeypatch.setattr(SimplicialComplex, "face_set", refuse)  # the dual's face set too
     assert run(capsys, "morse", "path:14", "--k", "2", "--order", "tree", "--json") == expected
     assert expected[0] == 0 and json.loads(expected[1])["acyclic"] is True
+
+
+def test_covered_graphs_past_64_vertices(capsys):
+    # the dual walk's budget, near 2^(n-1), is past sys.maxsize from n = 65 on
+    for spec in ("cycle:65", "star:70", "complete_multipartite:22,22,22"):
+        code, out, _ = run(capsys, "homology", spec, "--k", "2", "--json")
+        assert code == 0 and json.loads(out)["predicted_matches"] is True, spec
+    # the dual of Δ_2(C_65) is C_65 itself: ∅, 65 vertices and 65 edges
+    co = [1, 65, 65] + [0] * 63
+    code, out, _ = run(capsys, "build", "cycle:65", "--k", "2", "--json")
+    assert code == 0 and json.loads(out)["f_vector"] == [comb(65, s) - co[65 - s] for s in range(64)]
+    code, out, _ = run(capsys, "shell", "cycle:65", "--k", "2", "--json")
+    cert = json.loads(out)["certificate"]
+    assert code == 0 and cert["verdict"] == "not_shellable"
+    assert cert["obstruction"] == {"dim": 61, "rank": 1, "torsion": []}
 
 
 def test_verify_computes_one_homology_per_nonvoid_row(monkeypatch, capsys):

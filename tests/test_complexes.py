@@ -257,22 +257,21 @@ def test_f_vector_from_the_dual_matches_enumeration(cx):
     enumerated = [0] * (cx.dim + 2)
     for f in faces:
         enumerated[len(f)] += 1
-    dual = cx._small_dual()
+    dual = cx._dual_levels()
     # the dual is the chosen side iff it is nonempty and smaller than Δ
     assert (dual is not None) == (0 < 2**n - sum(enumerated) < sum(enumerated))
     assert cx.f_vector() == tuple(enumerated)
     if dual is not None:
         assert cx._faces is None  # the counts came from the dual
-        # the dual faces are the complements within the support of the non-faces
+        # the dual faces are the complements within the support of the non-faces;
+        # the memo counts those below the first incomplete size and lists the rest
         non_faces = [c for s in range(n + 1) for c in combinations(verts, s) if c not in faces]
-        assert {to_tuple(m) for m in dual.face_set()} == {tuple(v for v in verts if v not in c) for c in non_faces}
-        if n == cx.ambient:
-            assert dual == cx.alexander_dual()
-        co = [0] * (n + 1)
-        for m in dual.face_set():
-            co[m.bit_count()] += 1
-        # every set larger than a facet is a non-face, so its complement is a dual face
-        assert all(comb(n, s) == co[n - s] for s in range(cx.dim + 2, n + 1))
+        co_faces = {tuple(v for v in verts if v not in c) for c in non_faces}
+        by_size = [sorted(t for t in co_faces if len(t) == s) for s in range(n + 1)]
+        s0 = next(s for s in range(n + 1) if len(by_size[s]) < comb(n, s))
+        while not by_size[-1]:
+            by_size.pop()
+        assert dual == (s0, [[mask_of(t) for t in level] for level in by_size[s0:]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,15 +320,16 @@ def test_duality_over_the_support_needs_no_relabelling(monkeypatch):
 
 
 def test_duality_over_a_sparse_support_skips_the_gaps():
-    # vertices 0, 1 and 1,000,000: the dual walk and the facet scan of its
-    # result try only those three, never the million numbers in between
+    # vertices 0, 1 and 1,000,000: the dual walk tries only those three,
+    # never the million numbers in between
     top = 1_000_000
     start = time.perf_counter()
-    # paths with the one missing edge {1, top}, then {0, 1}; the dual is its complement
-    for facets, dual_facets in (([(0, 1), (0, top)], ((0,),)), ([(0, top), (1, top)], ((top,),))):
+    # paths with the one missing edge {1, top}, then {0, 1}; the dual is ∅
+    # and the vertex that completes it
+    for facets, dual_vertex in (([(0, 1), (0, top)], 0), ([(0, top), (1, top)], top)):
         cx = from_facets(facets)
         assert cx.f_vector() == (1, 3, 2)
-        assert cx._small_dual().facet_tuples() == dual_facets
+        assert cx._dual_levels() == (1, [[1 << dual_vertex]])
         assert reduced_homology(cx).side == "dual" and reduced_homology(cx).nonzero_dims() == []
         assert {to_tuple(f) for f in cx.face_set()} == brute_faces(cx.facet_tuples())
     assert time.perf_counter() - start < 2
@@ -369,7 +369,7 @@ def test_face_set_from_the_dual_matches_brute_force():
 
         with mock.patch("cutcomplex.complexes.submasks", counting_submasks):
             faces = cx.face_set()
-        dual = cx._small_dual()
+        dual = cx._dual_levels()
         # the dual is the producer exactly when it is set; no submask is walked then
         assert walked == ([] if dual is not None else list(cx.facets))
         assert {to_tuple(f) for f in faces} == brute_faces(cx.facet_tuples())

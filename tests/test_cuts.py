@@ -32,7 +32,7 @@ from cutcomplex import (
     triangle_free_delta2_betti,
     wedge_anchor_count,
 )
-from cutcomplex import cuts, graphs
+from cutcomplex import complexes, cuts, graphs
 from cutcomplex.complexes import relabel_densely
 from conftest import RP2_FACETS, brute_connected, brute_girth, random_forest, random_graph
 
@@ -107,7 +107,7 @@ def test_deferred_facets_match_the_eager_complex(n, p, isolated, seed):
         covers = cuts._covers_every_vertex(g, k)
         assert not covers or eager.vertices() == tuple(range(n)), k  # never a false claim
         cx = cut_complex(g, k)
-        if covers and cx._connected_dual() is not None:
+        if covers and cx._dual_levels() is not None:
             assert cx._facets is None
         assert (cx.dim, cx.is_void, cx.is_empty_complex, cx.vertices(), cx.ambient) == (
             eager.dim, eager.is_void, eager.is_empty_complex, eager.vertices(), eager.ambient)
@@ -148,9 +148,9 @@ def test_few_facets_are_listed_without_walking_the_dual(monkeypatch):
     def refuse(*args):
         raise AssertionError("the walk went past the connected k-sets")
 
-    monkeypatch.setattr(graphs, "_extensions", refuse)
+    monkeypatch.setattr(complexes, "_extensions", refuse)
     cx = cut_complex(g, 2)
-    assert cx._facets is not None and cx._connected_dual() is None and cx._small_dual() is None
+    assert cx._facets is not None and cx._dual_levels() is None
     assert cx == eager and cx.f_vector() == eager.f_vector()
     assert reduced_homology(cx) == reduced_homology(eager)
 

@@ -71,6 +71,23 @@ def test_cli_output_matches_golden(cmd, capsys):
     assert _run(cmd, capsys) == _load()[cmd]
 
 
+@pytest.mark.parametrize("args", MORSE)
+def test_morse_pins_read_only_the_dual_memo(args, capsys, monkeypatch):
+    # these cut complexes cover their graphs, so the matching reads the faces
+    # from the dual grown out of the connected k-sets: no facet is listed
+    # and the facets are not walked for a second dual
+    from cutcomplex import cuts
+    from cutcomplex.complexes import SimplicialComplex
+
+    def refuse(*args):
+        raise AssertionError("the facets were listed or walked")
+
+    monkeypatch.setattr(cuts, "disconnected_ksets", refuse)
+    monkeypatch.setattr(SimplicialComplex, "_walk_dual", refuse)
+    cmd = f"morse {args} --json"
+    assert _run(cmd, capsys) == _load()[cmd]
+
+
 if __name__ == "__main__":
     import contextlib
     import io

@@ -27,7 +27,8 @@ from cutcomplex import (
     write_graph_text,
 )
 from cutcomplex.bitsets import to_tuple
-from cutcomplex.graphs import connected_ksets, connected_levels
+from cutcomplex.complexes import _walk_levels
+from cutcomplex.graphs import connected_ksets
 from conftest import brute_chordal, brute_connected, brute_girth, random_graph
 
 
@@ -328,21 +329,20 @@ def test_connected_ksets_match_brute_force(n, p, seed):
 @given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 10_000))
 def test_connected_levels_match_brute_force(n, p, seed):
     # the sets of size >= k whose k-subsets are all connected, by size, in
-    # lexicographic order; a budget below their number gives None
+    # lexicographic order, as the dual walk grows them from the connected
+    # k-sets; a budget or a first-level cap below their number gives None
     g = random_graph(random.Random(seed), n, p)
     for k in range(1, n + 1):
         want = [[s for s in combinations(range(g.n), size) if all(brute_connected(g, t) for t in combinations(s, k))]
                 for size in range(k, n + 1)]
         while want and not want[-1]:
             want.pop()
-        levels = connected_levels(g, k)
-        assert [[to_tuple(m) for m in level] for level in levels] == want
         total = sum(map(len, want))
-        assert connected_levels(g, k, total) == levels
-        assert total == 0 or connected_levels(g, k, total - 1) is None
-        if want:  # a cap on the first level alone
-            assert connected_levels(g, k, None, len(want[0])) == levels
-            assert connected_levels(g, k, None, len(want[0]) - 1) is None
+        first = len(want[0]) if want else 0
+        levels = _walk_levels(connected_ksets(g, k), total, first, ())
+        assert [[to_tuple(m) for m in level] for level in levels] == want
+        assert total == 0 or _walk_levels(connected_ksets(g, k), total - 1, first, ()) is None
+        assert first == 0 or _walk_levels(connected_ksets(g, k), total, first - 1, ()) is None
 
 
 def test_connected_ksets_examples():

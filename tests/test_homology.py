@@ -20,12 +20,11 @@ from cutcomplex import (
     reduced_homology,
     smith_normal_form,
 )
-from cutcomplex import complexes, graphs, homology
-from cutcomplex.complexes import SimplicialComplex
-from cutcomplex.graphs import connected_levels
+from cutcomplex import complexes, homology
+from cutcomplex.complexes import SimplicialComplex, _walk_levels
+from cutcomplex.graphs import connected_ksets
 from cutcomplex.homology import (
     HomologyReport,
-    _connected_groups,
     _divisibility_chain,
     _dual_groups,
     _primal_groups,
@@ -251,9 +250,11 @@ def _groups_over_ambient(cx):
 def _both_sides(cx):
     primal = HomologyReport(*_primal_groups(cx))
     assert _groups_over_ambient(cx) == primal
-    dual = cx._dual_within(cx._support, None)  # over the complex's own vertices
-    if not dual.is_void:  # else Δ is the full simplex on its vertices
-        assert HomologyReport(*_dual_groups(cx, dual)) == primal
+    n = cx._support.bit_count()  # the dual over the complex's own vertices, past the side rule
+    s0 = n - 1 - cx.dim
+    if s0 > 0:  # else Δ is the full simplex on its vertices
+        levels = cx._walk_dual(cx._support, 1 << n)
+        assert HomologyReport(*_shifted_groups(n, cx.dim, _dual_groups(n, s0, levels))) == primal
     assert reduced_homology(cx) == primal
     return primal
 
@@ -284,10 +285,10 @@ def test_side_picker_on_the_empty_face_complex():
 
 
 def test_side_picker_keeps_the_full_simplex_primal():
-    rep = reduced_homology(full_simplex(4))
+    cx = full_simplex(4)
+    rep = reduced_homology(cx)
     assert rep.side == "primal" and rep.nonzero_dims() == []
-    with pytest.raises(ValueError):
-        _dual_groups(full_simplex(4), full_simplex(4).alexander_dual())
+    assert cx._dual_levels() is None  # its dual is void
 
 
 def test_side_picker_with_vertices_in_no_facet():
@@ -349,7 +350,8 @@ def test_large_dual_matches_the_closed_form(spec, k):
 def _connected_route(g, k, cx):
     """The route called directly, past the side rule, with duality over all
     of V(g): correct even when the facets miss a vertex, as D is then a cone."""
-    return HomologyReport(*_shifted_groups(g.n, cx.dim, _connected_groups(g.n, k, connected_levels(g, k))))
+    levels = _walk_levels(connected_ksets(g, k), 1 << g.n, 1 << g.n, ())
+    return HomologyReport(*_shifted_groups(g.n, cx.dim, _dual_groups(g.n, k, levels)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -366,12 +368,14 @@ def test_connected_route_matches_the_primal(n, p, seed):
         assert rep == primal
         sizes = Counter(map(len, brute_faces(cx.facet_tuples())))
         assert cx.f_vector() == tuple(sizes[s] for s in range(cx.dim + 2))
-        # the route is taken exactly where the dual walk of a plain copy finds the smaller side
-        plain = reduced_homology(SimplicialComplex(cx.facets, ambient=cx.ambient)).side
+        # the route is taken exactly where the dual walk of a plain copy finds
+        # the smaller side, and both producers fill the same memo
+        plain = SimplicialComplex(cx.facets, ambient=cx.ambient)
         if cx.vertices() == tuple(range(n)):
-            assert (rep.side, plain) in (("connected", "dual"), ("primal", "primal"))
+            assert (rep.side, reduced_homology(plain).side) in (("connected", "dual"), ("primal", "primal"))
+            assert plain._dual_levels() == cx._dual_levels()
         else:
-            assert rep.side == plain
+            assert rep.side == reduced_homology(plain).side
 
 
 @pytest.mark.parametrize("suspensions", [0, 1])
@@ -396,7 +400,7 @@ def test_a_cut_complex_missing_a_vertex_lists_no_connected_kset(monkeypatch):
     def refuse(*args):
         raise AssertionError("connected k-sets were listed")
 
-    monkeypatch.setattr(graphs, "connected_ksets", refuse)
+    monkeypatch.setattr(complexes, "connected_ksets", refuse)
     cx = cut_complex(from_edge_list(21, list(combinations(range(20), 2))), 5)
     assert cx.vertices() == tuple(range(20))
     rep = reduced_homology(cx)
@@ -408,7 +412,7 @@ def test_connected_route_runs_no_dual_walk_and_no_full_boundary(monkeypatch):
     def refuse(*args):
         raise AssertionError("the dual walk or the full boundary assembly ran")
 
-    monkeypatch.setattr(SimplicialComplex, "_dual_within", refuse)
+    monkeypatch.setattr(SimplicialComplex, "_walk_dual", refuse)
     monkeypatch.setattr(homology, "boundary_matrices", refuse)
     cx = cut_complex(family("path:22"), 6)
     rep = reduced_homology(cx)

@@ -555,7 +555,7 @@ def test_sparse_complexes_build_no_bitmap(monkeypatch):
         raise AssertionError("a bitmap was built")
 
     for module, name in [(morse, "mask_bytes"), (morse, "bytes_bitmap"), (morse, "bitmap_masks"),
-                         (morse, "lacking"), (complexes, "mask_bytes"), (complexes, "bytes_bitmap")]:
+                         (morse, "lacking"), (complexes, "small_masks")]:
         monkeypatch.setattr(module, name, refuse)
     # Δ_9(P_12) has few faces among 2^12 masks; K_6 plus an isolated vertex 0
     # has a small dual but a gap at 0
@@ -566,4 +566,4 @@ def test_sparse_complexes_build_no_bitmap(monkeypatch):
         acyclic, census = verify_acyclic_and_critical(mm)
         assert acyclic and census == mm.critical_census()
         assert mm.pairs_json() == _dumped(mm.pairs)
-    assert cut_complex(lone, 3)._small_dual() is not None
+    assert cut_complex(lone, 3)._dual_levels() is not None
