@@ -111,8 +111,12 @@ def small_masks(n: int, top: int, without: Iterable[int] = ()) -> int:
     0 <= top < 255, other than those of ``without``. Byte m of its table
     holds max(top + 1 - |m|, 0), filled by doubling: the masks with bit v
     follow those without, one bit larger. The table is allocated first, so
-    a width too large to hold fails before any of it is filled."""
-    flags = bytearray(1 << n)
+    a width too large to hold fails before any of it is filled, with a
+    ValueError."""
+    try:
+        flags = bytearray(1 << n)
+    except (MemoryError, OverflowError):  # a width past the address space or the free memory
+        raise ValueError(f"cannot allocate a table of the 2^{n} masks on {n} vertices") from None
     flags[0] = top + 1
     for v in range(n):
         flags[1 << v:2 << v] = flags[:1 << v].translate(_DECREMENT)

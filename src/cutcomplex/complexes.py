@@ -14,25 +14,23 @@ non-faces are the facet complements, so it holds every set below the
 smallest complement's size s0: the memo is s0 and the dual's faces from
 size s0 up, one list per size, and the complete skeleton below is counted,
 never listed. One level walk fills it, growing each level from the one
-below through masks of one-vertex extensions. A cut complex whose facets
-cover its graph's vertices remembers the graph and k and starts the walk
-from the connected k-sets (s0 = k); any other complex starts it from the
-sets of size s0 that are not facet complements, with the larger complements
-blocked. The dual is taken over the support, since over an ambient vertex
-in no facet it could never be the smaller side; only the public
-``alexander_dual()`` is taken over the ambient set.
+below through masks of one-vertex extensions, from the s0-sets that are
+not facet complements, with the larger complements blocked; or, for a pure
+complex given by its dual alone (``_from_dual_walk``), from a first level
+the caller lists, whose missing s0-sets are the facet complements. The dual
+is taken over the support, since over an ambient vertex in no facet it
+could never be the smaller side; only the public ``alexander_dual()`` is
+taken over the ambient set.
 
 Faces are listed only when a caller needs each one, such as a Morse matching
 on a sparse complex, and are then memoized. With a small dual a subset of
 the support is a face iff its complement in the support is not a dual face;
 otherwise the submasks of every facet are walked. When the faces fill at
 least half of the masks below the support's top bit, ``face_bitmap`` gives
-them as one int instead, for Morse matchings on dense complexes. When
-``cuts.cut_complex`` knows a cut complex's support and dimension from the
-graph, it may leave the facets unlisted until they are first read; counts,
-homology and Morse matchings on the dual side never read them. The lazy
-caches, the facets included, are write-once and idempotent, so complexes
-stay safe to share across threads.
+them as one int instead, for Morse matchings on dense complexes. Counts,
+homology and Morse matchings on the dual side never read the facets. The
+lazy caches, the facets included, are write-once and idempotent, so
+complexes stay safe to share across threads.
 """
 
 from __future__ import annotations
@@ -40,13 +38,12 @@ from __future__ import annotations
 import sys
 from collections import Counter, defaultdict
 from functools import reduce
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, filterfalse, islice
 from math import comb
 from operator import or_
 from typing import Iterable, Iterator
 
 from .bitsets import bits, mask_of, small_masks, submasks, to_tuple
-from .graphs import connected_ksets
 
 NEG_INF = float("-inf")
 _UNDECIDED = object()  # the dual memo before it is computed
@@ -141,6 +138,12 @@ def _extensions(level: list[int], up: dict[int, int], block: dict[int, int], gro
                 yield m | u
 
 
+def _dual_budget(n: int, s0: int) -> int:
+    """How many faces from size s0 up a dual over n vertices that holds every
+    smaller set may have while it has fewer than 2^(n-1) faces in all."""
+    return (((1 << n) - 1) >> 1) - sum(comb(n, s) for s in range(s0))
+
+
 def _dual_faces(ground: int, s0: int, levels: list[list[int]]) -> Iterator[int]:
     """Every face of the dual over ``ground`` that holds all its subsets
     below size s0 and then the faces of ``levels``."""
@@ -149,7 +152,7 @@ def _dual_faces(ground: int, s0: int, levels: list[list[int]]) -> Iterator[int]:
 
 
 class SimplicialComplex:
-    __slots__ = ("_facets", "_listing", "ambient", "_dim", "_support", "_faces", "_fvec", "_dual", "_cut")
+    __slots__ = ("_facets", "ambient", "_dim", "_support", "_faces", "_fvec", "_dual", "_side")
 
     def __init__(self, faces, ambient: int | None = None):
         """Build the complex generated by ``faces`` (bitmasks or vertex
@@ -165,19 +168,18 @@ class SimplicialComplex:
             ambient = top
         elif ambient < top:
             raise ValueError("ambient vertex count smaller than the facets")
-        self._fill(facets, None, support, _top_dim(facets), ambient)
+        self._fill(facets, support, _top_dim(facets), ambient)
 
-    def _fill(self, facets, listing, support: int, dim, ambient: int) -> None:
+    def _fill(self, facets, support: int, dim, ambient: int) -> None:
         """Set every slot, with the lazy memos not yet computed."""
-        self._facets = facets  # None until first read, then those of ``listing()``
-        self._listing = listing
+        self._facets = facets  # None until read for a complex from ``_from_dual_walk``
         self._support = support
         self._dim = dim
         self.ambient = ambient
         self._faces = None
         self._fvec = None
         self._dual = _UNDECIDED
-        self._cut = None  # (g, k) when cuts.cut_complex built this over all of V(g)
+        self._side = "dual"  # the dual memo's start: "dual" from the facets, "connected" from a given first level
 
     @classmethod
     def _from_faces(cls, faces: set, ambient: int) -> SimplicialComplex:
@@ -189,18 +191,26 @@ class SimplicialComplex:
         facets = tuple(sorted(
             m for m in faces if not any((m | b) in faces for b in singles if not m & b)
         ))
-        cx._fill(facets, None, support, _top_dim(facets), ambient)
+        cx._fill(facets, support, _top_dim(facets), ambient)
         cx._faces = frozenset(faces)
         return cx
 
     @classmethod
-    def _listed_on_read(cls, listing, support: int, dim: int, ambient: int) -> SimplicialComplex:
-        """A complex equal to ``listing()``, which is called for its facets
-        when they are first read. The caller vouches for the listed
-        complex's support, dimension (so it is not void) and ambient count;
-        counts and homology that need no more than these never call it."""
+    def _from_dual_walk(cls, first: Iterable[int], s0: int, n: int) -> SimplicialComplex | None:
+        """The pure (n - 1 - s0)-dimensional complex on the vertices 0..n-1,
+        every one in a facet, whose Alexander dual D has the sets of
+        ``first`` as its faces of size s0, built from D's memo when D is the
+        smaller side; None when the walk gives up. It gives up right after
+        ``first`` when at most 2^(s0-1) s0-sets are missing, since that many
+        facets have at most 2^(n-1) faces. The facets are read off D."""
+        budget = _dual_budget(n, s0)
+        levels = None if budget < 0 else _walk_levels(first, budget, comb(n, s0) - (1 << s0 - 1) - 1, ())
+        if levels is None:
+            return None
         cx = cls.__new__(cls)
-        cx._fill(None, listing, support, dim, ambient)
+        cx._fill(None, (1 << n) - 1, n - 1 - s0, n)
+        cx._dual = (s0, levels)
+        cx._side = "connected"
         return cx
 
     # -- state ------------------------------------------------------------
@@ -217,10 +227,19 @@ class SimplicialComplex:
     @property
     def facets(self) -> tuple[int, ...]:
         """The facets as ascending bitmasks, listed on first read for a
-        complex from ``_listed_on_read``. Racing readers write equal tuples."""
+        complex from ``_from_dual_walk``. Racing readers write equal tuples."""
         if self._facets is None:
-            self._facets = self._listing().facets
+            self._facets = self._facets_from_dual()
         return self._facets
+
+    def _facets_from_dual(self) -> tuple[int, ...]:
+        """The complements of the s0-sets that are not dual faces, in
+        increasing order, as the s0-sets come in decreasing order."""
+        s0, levels = self._dual
+        support = self._support
+        down = [1 << v for v in bits(support)][::-1]
+        first = set(levels[0] if levels else ())
+        return tuple(map(support.__xor__, filterfalse(first.__contains__, map(sum, combinations(down, s0)))))
 
     def facet_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(to_tuple(f) for f in self.facets)
@@ -429,28 +448,19 @@ class SimplicialComplex:
         up past 2^(n-1) - 1. s0 = 0 makes Δ the full simplex on its support,
         whose dual is void.
 
-        Two producers fill the memo through the one level walk. For Δ_k(G)
-        from ``cuts.cut_complex`` with every vertex of G in a facet, s0 = k
-        and D's faces of size k are the connected k-sets of G, so no facet
-        is read. That walk also gives up right after them when they leave at
-        most 2^(k-1) disconnected k-sets, since that many facets of n - k
-        vertices have at most 2^(n-1) faces. Any other complex walks from
-        its facets, and only when Δ could hold more than 2^(n-1) faces: Δ
-        has at most min(C(n, s), Σ_F C(|F|, s)) faces of size s."""
+        A complex from ``_from_dual_walk`` has its memo from construction.
+        Any other complex walks from its facets, and only when Δ could hold
+        more than 2^(n-1) faces: Δ has at most min(C(n, s), Σ_F C(|F|, s))
+        faces of size s."""
         if self._dual is _UNDECIDED:
             n = self._support.bit_count()
             s0 = n - 1 - self.dim
             levels = None
-            if not self.is_void and s0 > 0:
-                budget = (((1 << n) - 1) >> 1) - sum(comb(n, s) for s in range(s0))
-                if budget >= 0 and self._cut is not None:
-                    g, k = self._cut
-                    levels = _walk_levels(connected_ksets(g, k), budget, comb(n, k) - (1 << k - 1) - 1, ())
-                elif budget >= 0:
-                    sizes = Counter(f.bit_count() for f in self.facets)
-                    bound = sum(min(comb(n, s), sum(c * comb(m, s) for m, c in sizes.items())) for s in range(n + 1))
-                    if bound << 1 > 1 << n:
-                        levels = self._walk_dual(self._support, budget)
+            if not self.is_void and s0 > 0 and (budget := _dual_budget(n, s0)) >= 0:
+                sizes = Counter(f.bit_count() for f in self.facets)
+                bound = sum(min(comb(n, s), sum(c * comb(m, s) for m, c in sizes.items())) for s in range(n + 1))
+                if bound << 1 > 1 << n:
+                    levels = self._walk_dual(self._support, budget)
             self._dual = None if levels is None else (s0, levels)
         return self._dual
 

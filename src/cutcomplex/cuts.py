@@ -2,15 +2,16 @@
 
 The k-cut complex of a graph G on n vertices is generated by the complements
 of the k-subsets that induce disconnected subgraphs; its facets are the
-separating (n-k)-sets. This module holds everything specific to that
-construction: enumeration of disconnected k-sets (from the graph's minimal
-separators, or by a sweep of all k-sets when that is cheaper), run only
-when the facets are first read if a degree test shows that they cover every
-vertex; the connected-subset census; the census formula for the reduced
-Euler characteristic when the complex holds the complete skeleton of its
-ridge dimension; ridge recursion between consecutive k; realization of
-arbitrary pure complexes as cut complexes of chordal graphs; and the
-closed-form Betti predictions for the graph families with known answers.
+separating (n-k)-sets. When a degree test shows that they cover every
+vertex, the complex is built from its Alexander dual, grown from the
+connected k-sets; otherwise the disconnected k-sets are listed, from the
+graph's minimal separators or by a sweep of all k-sets when that is
+cheaper. This module also holds the connected-subset census; the census
+formula for the reduced Euler characteristic when the complex holds the
+complete skeleton of its ridge dimension; ridge recursion between
+consecutive k; realization of arbitrary pure complexes as cut complexes of
+chordal graphs; and the closed-form Betti predictions for the graph
+families with known answers.
 
 The Betti predictions are pure dispatchers over closed forms: they never
 compute homology, so they can serve as the oracle the homology engine is
@@ -79,37 +80,22 @@ def disconnected_ksets(g: Graph, k: int) -> list[int]:
 def cut_complex(g: Graph, k: int) -> SimplicialComplex:
     """Complex whose facets are complements of disconnected k-sets.
 
-    When the facets cover every vertex of g, the complex remembers (g, k), so
-    its dual memo (``SimplicialComplex._dual_levels``) grows the Alexander
-    dual from the connected k-sets of g. Over a vertex in no facet the dual
-    would hold every set that misses it, so it is never the smaller side
-    there and the complex is left as it is.
-
-    When ``_covers_every_vertex`` shows that cover from the vertex degrees,
-    the support is V(g) and the dimension n - k - 1, so the dual walk runs
-    first. If it finds the dual the smaller side, the facets are listed only
-    when first read, and counts, homology and Morse matchings never read
-    them. Otherwise, and when the test fails, they are listed now. The walk
-    runs here, not on the first count, so that any listing happens while
-    the complex is built: ``skeleton_condition_euler`` sweeps no k-set, yet
-    on the primal side its f-vector would list the facets, through the
-    k-set sweep of ``disconnected_ksets`` when the separator route gives
-    up, as on figure_eight:3,4 at k = 3. The walk stops early when there
-    are few facets."""
-    full = g.full_mask
-
-    def listed():
-        return SimplicialComplex([full ^ m for m in disconnected_ksets(g, k)], ambient=g.n)
-
-    if _covers_every_vertex(g, k):
-        cx = SimplicialComplex._listed_on_read(listed, full, g.n - k - 1, g.n)
-        cx._cut = (g, k)
-        if cx._dual_levels() is None:
-            cx.facets  # the primal is the smaller side: its counts read every facet
-        return cx
-    cx = listed()
-    if cx._support == full:
-        cx._cut = (g, k)
+    When ``_covers_every_vertex`` shows that the facets cover V(g), the
+    Alexander dual D holds every set below size k and, from there up, the
+    sets whose k-subsets are all connected (for k = 2, the clique complex
+    of g). The level walk grows D from the connected k-sets, and when D is
+    the smaller side the complex is built from it: counts, homology and
+    Morse matchings read D alone, and the facets, the complements of the
+    k-sets that are not connected, are read off D when needed. Otherwise,
+    and when the test fails (over V(g), the dual of a complex that misses a
+    vertex is never the smaller side), ``disconnected_ksets`` lists the
+    facets now; a covered complex then records that D is not smaller."""
+    covered = _covers_every_vertex(g, k)
+    cx = SimplicialComplex._from_dual_walk(connected_ksets(g, k), k, g.n) if covered else None
+    if cx is None:
+        cx = SimplicialComplex([g.full_mask ^ m for m in disconnected_ksets(g, k)], ambient=g.n)
+        if covered:
+            cx._dual = None  # no walk from the facets: it would give up again
     return cx
 
 

@@ -156,7 +156,7 @@ class HomologyReport:
 
     ``side`` names the complex the groups were computed on: the "primal",
     or its Alexander dual, walked from the facets ("dual") or, for a cut
-    complex whose facets cover the graph's vertices, grown from its
+    complex that ``cuts.cut_complex`` built from its dual, grown from the
     "connected" k-sets. It is not part of equality or the JSON output."""
 
     ranks: dict
@@ -260,12 +260,10 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     It is used when it has fewer faces than Δ, as the complex's dual memo
     (``SimplicialComplex._dual_levels``) holds it: the sets below size s0
     are counted, not listed, and need no Smith reduction. ``side`` names
-    the memo's producer: "connected" for a cut complex Δ_k(G) whose facets
-    cover V(G), whose dual comes from the connected k-sets of G, and "dual"
-    for any other complex, whose dual is walked from its facets. Ties and
-    the full simplex, whose dual is void, stay "primal". Duality is taken
-    over the complex's own n vertices, since over an ambient vertex in no
-    facet the dual is never the smaller side.
+    the memo's start (see ``HomologyReport``); ties and the full simplex,
+    whose dual is void, stay "primal". Duality is taken over the complex's
+    own n vertices, since over an ambient vertex in no facet the dual is
+    never the smaller side.
     """
     if cx.is_void:
         raise ValueError("the void complex has no homology")
@@ -273,5 +271,4 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyReport:
     if dual is None:
         return HomologyReport(*_primal_groups(cx), side="primal")
     n = cx._support.bit_count()
-    side = "dual" if cx._cut is None else "connected"
-    return HomologyReport(*_shifted_groups(n, cx.dim, _dual_groups(n, *dual)), side=side)
+    return HomologyReport(*_shifted_groups(n, cx.dim, _dual_groups(n, *dual)), side=cx._side)

@@ -80,6 +80,14 @@ def test_small_masks_match_their_sizes(case):
     assert bitsets.small_masks(n, top, without) == want
 
 
+def test_small_masks_past_the_address_space_are_a_value_error():
+    # only widths that no machine can allocate are tried: whether 2^30 to
+    # 2^40 bytes can be allocated depends on the free memory
+    for n in (65, 100):
+        with pytest.raises(ValueError, match=rf"2\^{n} masks on {n} vertices"):
+            bitsets.small_masks(n, 2)
+
+
 def test_mask_bytes_rejects_masks_outside_the_width():
     for masks in ([-1], [0, 8], [3, -8]):  # an index of -1 would wrap to the last byte
         with pytest.raises(ValueError, match="not in 0..7"):

@@ -186,25 +186,28 @@ def test_build_sweeps_the_ksets_once(monkeypatch, capsys):
     calls = []
     sweep = cuts.disconnected_ksets
     monkeypatch.setattr(cuts, "disconnected_ksets", lambda g, k: calls.append(k) or sweep(g, k))
+    # Δ_4(prism_4) is covered, but its 14 facets are the smaller side: they are listed once
+    code, out, _ = run(capsys, "build", "prism:4", "--k", "4", "--json")
+    assert code == 0 and json.loads(out)["skeleton_condition"] is not None
+    assert calls == [4]
+    # Δ_3(prism_4) is built from its dual, and its facets are read off that dual
     code, out, _ = run(capsys, "build", "prism:4", "--k", "3", "--json")
     assert code == 0 and json.loads(out)["skeleton_condition"] is not None
-    assert calls == [3]
+    assert calls == [4]
 
 
 def test_homology_never_lists_the_facets_that_build_prints(monkeypatch, capsys):
-    import cutcomplex.cuts as cuts
+    def refuse(self):
+        raise AssertionError("the facets were read off the dual")
 
-    def refuse(g, k):
-        raise AssertionError("the disconnected k-sets were listed")
-
-    monkeypatch.setattr(cuts, "disconnected_ksets", refuse)
+    monkeypatch.setattr(SimplicialComplex, "_facets_from_dual", refuse)
     code, out, _ = run(capsys, "homology", "path:22", "--k", "6", "--json")
     homology = [{"dim": i, "rank": 20332 if i == 15 else 0, "torsion": []} for i in range(-1, 16)]
     assert code == 0 and out == json.dumps({
         "euler_consistent": True, "graph": "path:22", "homology": homology, "k": 6, "mu": -20332, "n": 22,
         "predicted": {"count": 20332, "dim": 15, "status": "wedge"}, "predicted_matches": True,
     }, sort_keys=True) + "\n"
-    with pytest.raises(AssertionError, match="the disconnected k-sets were listed"):
+    with pytest.raises(AssertionError, match="the facets were read off the dual"):
         main(["build", "path:10", "--k", "3", "--json"])
 
 
@@ -353,6 +356,13 @@ def test_covered_graphs_past_64_vertices(capsys):
     cert = json.loads(out)["certificate"]
     assert code == 0 and cert["verdict"] == "not_shellable"
     assert cert["obstruction"] == {"dim": 61, "rank": 1, "torsion": []}
+
+
+def test_morse_past_64_vertices_is_an_input_error(capsys):
+    # a face table of 2^65 bytes cannot be allocated: exit 2 with one line, no traceback
+    for argv in (["path:65", "--order", "tree"], ["cycle:65", "--order", "restricted"]):
+        code, out, err = run(capsys, "morse", argv[0], "--k", "2", *argv[1:], "--json")
+        assert (code, out) == (2, "") and err == "error: cannot allocate a table of the 2^65 masks on 65 vertices\n"
 
 
 def test_verify_computes_one_homology_per_nonvoid_row(monkeypatch, capsys):

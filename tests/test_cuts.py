@@ -107,34 +107,40 @@ def test_deferred_facets_match_the_eager_complex(n, p, isolated, seed):
         covers = cuts._covers_every_vertex(g, k)
         assert not covers or eager.vertices() == tuple(range(n)), k  # never a false claim
         cx = cut_complex(g, k)
-        if covers and cx._dual_levels() is not None:
+        grown = covers and cx._dual_levels() is not None
+        if grown:
             assert cx._facets is None
         assert (cx.dim, cx.is_void, cx.is_empty_complex, cx.vertices(), cx.ambient) == (
             eager.dim, eager.is_void, eager.is_empty_complex, eager.vertices(), eager.ambient)
-        assert (cx._cut is not None) == (eager.vertices() == tuple(range(n)))
+        assert cx._dual_levels() == eager._dual_levels()
         if not eager.is_void:
             assert cx.f_vector() == eager.f_vector()
             assert cx.reduced_euler() == eager.reduced_euler()
-            assert reduced_homology(cx) == reduced_homology(eager)
+            rep, eager_rep = reduced_homology(cx), reduced_homology(eager)
+            assert rep == eager_rep
+            assert rep.side == ("connected" if grown else eager_rep.side)
+            assert eager_rep.side != "connected"
         assert cx.facets == eager.facets
         assert cx == eager and hash(cx) == hash(eager)
 
 
 def test_homology_of_a_covered_cut_complex_lists_no_facet(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the facets were listed")
+        raise AssertionError("the disconnected k-sets were listed")
 
     monkeypatch.setattr(cuts, "disconnected_ksets", refuse)
     g = family("path:22")
     cx = cut_complex(g, 6)
-    assert cx._facets is None and cx._cut == (g, 6)
+    assert cx._facets is None
     assert (cx.dim, cx.vertices()) == (15, tuple(range(22)))
     rep = reduced_homology(cx)
     assert rep.side == "connected" and rep.nonzero_dims() == [15] and rep.betti(15) == 20332
     assert cx.reduced_euler() == -20332
     assert skeleton_condition_euler(g, cx) == (True, -20332)
-    with pytest.raises(AssertionError, match="the facets were listed"):
-        cx.facets
+    assert cx._facets is None
+    # a 6-set of P_22 is connected iff it is an interval; the facets are the other sets' complements
+    brute = sorted(g.full_mask ^ sum(1 << v for v in t) for t in combinations(range(22), 6) if t[-1] - t[0] > 5)
+    assert cx.facets == tuple(brute)
 
 
 def test_few_facets_are_listed_without_walking_the_dual(monkeypatch):
@@ -153,6 +159,19 @@ def test_few_facets_are_listed_without_walking_the_dual(monkeypatch):
     assert cx._facets is not None and cx._dual_levels() is None
     assert cx == eager and cx.f_vector() == eager.f_vector()
     assert reduced_homology(cx) == reduced_homology(eager)
+
+
+def test_a_covered_complex_whose_walk_gave_up_walks_no_more(monkeypatch):
+    # Δ_3(figure_eight_{3,4}) is covered, but its 11 facets are the smaller
+    # side; their sizes alone would not rule out a second walk, from the facets
+    cx = cut_complex(family("figure_eight:3,4"), 3)
+
+    def refuse(*args):
+        raise AssertionError("the dual was walked again")
+
+    monkeypatch.setattr(SimplicialComplex, "_walk_dual", refuse)
+    assert cx._facets is not None and cx._dual_levels() is None
+    assert reduced_homology(cx).side == "primal" and len(cx.facets) == 11
 
 
 def test_realized_graphs_fail_the_cover_test():

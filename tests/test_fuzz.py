@@ -4,7 +4,9 @@ graph text files and complex JSON files, well-formed or not.
 Every call must return an exit code (no exception escapes), the code must be
 0, 1 or 2, and exit 2 must print exactly one ``error:`` line. Sizes stay small
 (graphs of at most 12 vertices, complexes of at most 4 facets on 6 vertices)
-so that each call ends well under a second. A graph header with a huge vertex
+so that each call ends well under a second. Three family graphs past 64
+vertices, where a vertex set no longer fits one machine word, are run at
+k = 2 through every graph command. A graph header with a huge vertex
 count is left out: one too large to allocate exits 2 (see test_cli), but a
 header of 10^8 vertices still allocates 800 MB before any edge is read.
 """
@@ -13,6 +15,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -116,7 +119,19 @@ def test_cli_on_bounded_random_input(tmp_path, call):
         paths["graph"].write_text(text)
     if obj is not None:
         paths["complex"].write_text(obj)
-    argv = [a.format(**paths) if a in ("{graph}", "{complex}") else a for a in argv]
+    check_exit([a.format(**paths) if a in ("{graph}", "{complex}") else a for a in argv])
+
+
+@pytest.mark.parametrize("spec", ["cycle:65", "path:66", "star:70"])
+@pytest.mark.parametrize("cmd", ["build", "homology", "shell", "morse --order=tree", "morse --order=restricted"])
+def test_cli_on_graphs_past_64_vertices(spec, cmd):
+    # a Morse matching there would need a face table of 2^65 bytes or more
+    name, *options = cmd.split()
+    check_exit([name, spec, "--k", "2", *options, "--json"])
+
+
+def check_exit(argv):
+    """Run ``argv``; the exit code must be 0, 1 or 2, with one error line on 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -20,7 +20,7 @@ from cutcomplex import (
     reduced_homology,
     smith_normal_form,
 )
-from cutcomplex import complexes, homology
+from cutcomplex import complexes, cuts, homology
 from cutcomplex.complexes import SimplicialComplex, _walk_levels
 from cutcomplex.graphs import connected_ksets
 from cutcomplex.homology import (
@@ -368,14 +368,14 @@ def test_connected_route_matches_the_primal(n, p, seed):
         assert rep == primal
         sizes = Counter(map(len, brute_faces(cx.facet_tuples())))
         assert cx.f_vector() == tuple(sizes[s] for s in range(cx.dim + 2))
-        # the route is taken exactly where the dual walk of a plain copy finds
-        # the smaller side, and both producers fill the same memo
+        # a covered complex takes the route exactly where the dual walk of a
+        # plain copy finds the smaller side, and both starts fill the same memo
         plain = SimplicialComplex(cx.facets, ambient=cx.ambient)
-        if cx.vertices() == tuple(range(n)):
+        if cuts._covers_every_vertex(g, k):
             assert (rep.side, reduced_homology(plain).side) in (("connected", "dual"), ("primal", "primal"))
-            assert plain._dual_levels() == cx._dual_levels()
         else:
             assert rep.side == reduced_homology(plain).side
+        assert plain._dual_levels() == cx._dual_levels()
 
 
 @pytest.mark.parametrize("suspensions", [0, 1])
@@ -400,7 +400,7 @@ def test_a_cut_complex_missing_a_vertex_lists_no_connected_kset(monkeypatch):
     def refuse(*args):
         raise AssertionError("connected k-sets were listed")
 
-    monkeypatch.setattr(complexes, "connected_ksets", refuse)
+    monkeypatch.setattr(cuts, "connected_ksets", refuse)
     cx = cut_complex(from_edge_list(21, list(combinations(range(20), 2))), 5)
     assert cx.vertices() == tuple(range(20))
     rep = reduced_homology(cx)
@@ -421,13 +421,13 @@ def test_connected_route_runs_no_dual_walk_and_no_full_boundary(monkeypatch):
     assert predicted_betti("path:22", 6).matches(cx, rep)
 
 
-def test_only_cut_complex_remembers_its_graph():
+def test_only_cut_complex_grows_its_dual_from_the_connected_ksets():
     g = family("cycle:6")
     cx = cut_complex(g, 3)
-    assert cx._cut == (g, 3)
+    assert reduced_homology(cx).side == "connected"
     plain = SimplicialComplex(cx.facets, ambient=cx.ambient)
-    assert plain == cx and hash(plain) == hash(cx) and plain._cut is None
+    assert plain == cx and hash(plain) == hash(cx) and reduced_homology(plain).side == "dual"
     for derived in (cx.link((0,)), cx.star((0,)), cx.deletion((0,)), cx.join(cx), cx.cone()):
-        assert derived._cut is None
+        assert reduced_homology(derived).side != "connected"
     assert reduced_homology(plain) == reduced_homology(cx)
-    assert reduced_homology(plain).side == "dual" and reduced_homology(cx).side == "connected"
+    assert plain._dual_levels() == cx._dual_levels()
