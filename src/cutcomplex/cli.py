@@ -223,7 +223,7 @@ def cmd_morse(args) -> int:
         "graph": args.graph,
         "k": args.k,
         "order": order,
-        "pairs": len(matching.pairs),
+        "pairs": matching.pair_count(),
         "critical_census": {str(d): c for d, c in sorted(census.items())},
         "acyclic": acyclic,
     }
@@ -233,7 +233,7 @@ def cmd_morse(args) -> int:
         print(_json_record(texts))
         return 0
     print(f"graph: {args.graph}, k={args.k}")
-    print(f"pairs: {len(matching.pairs)}")
+    print(f"pairs: {matching.pair_count()}")
     print(f"critical cells by dimension: {dict(sorted(census.items())) or '{}'}")
     print(f"acyclic: {acyclic}")
     return 0

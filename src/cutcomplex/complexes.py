@@ -75,19 +75,19 @@ def _top_dim(facets) -> int | float:
     return max(map(int.bit_count, facets), default=NEG_INF) - 1
 
 
-def _walk_levels(first: Iterable[int], budget: int, cap: int, blocked) -> list[list[int]] | None:
+def _walk_levels(first: Iterable[int], budget: int, blocked) -> list[list[int]] | None:
     """The sets of ``first``, all of one size, then each larger size's sets
     whose one-smaller subsets all lie in the level below and that are not
     in ``blocked``, up to the first empty level: one list per size, each in
     lexicographic order of vertex tuples. None as soon as more than
-    ``budget`` sets are listed, or the first level holds more than ``cap``.
+    ``budget`` sets are listed.
 
     Extensions of sets in lexicographic order come out in that order. Which
     extensions of a set t lie in a level is kept as one mask of vertices,
     ``up[t]``, so a candidate set is checked by ANDing masks rather than by
     a lookup per subset; the blocked sets are kept the same way."""
-    listed = sorted(islice(first, min(budget, cap, sys.maxsize - 1) + 1), key=to_tuple)
-    if len(listed) > min(budget, cap):
+    listed = sorted(islice(first, min(budget, sys.maxsize - 1) + 1), key=to_tuple)
+    if len(listed) > budget:
         return None
     up, block = _up_masks(listed), _up_masks(blocked)
     levels = []
@@ -200,11 +200,20 @@ class SimplicialComplex:
         """The pure (n - 1 - s0)-dimensional complex on the vertices 0..n-1,
         every one in a facet, whose Alexander dual D has the sets of
         ``first`` as its faces of size s0, built from D's memo when D is the
-        smaller side; None when the walk gives up. It gives up right after
-        ``first`` when at most 2^(s0-1) s0-sets are missing, since that many
-        facets have at most 2^(n-1) faces. The facets are read off D."""
+        smaller side; None when the walk gives up. The facets are read off D.
+
+        It gives up right after ``first`` when the F missing s0-sets, the
+        facet complements, bound this complex to at most 2^(n-1) faces:
+        it has at most min(C(n, s), F·C(n - s0, s)) faces of size s, the
+        bound ``_dual_levels`` takes from the facets."""
         budget = _dual_budget(n, s0)
-        levels = None if budget < 0 else _walk_levels(first, budget, comb(n, s0) - (1 << s0 - 1) - 1, ())
+        if budget < 0:
+            return None
+        first = list(islice(first, min(budget, sys.maxsize - 1) + 1))
+        missing = comb(n, s0) - len(first)
+        if sum([min(comb(n, s), missing * comb(n - s0, s)) for s in range(n - s0 + 1)]) << 1 <= 1 << n:
+            return None
+        levels = _walk_levels(first, budget, ())
         if levels is None:
             return None
         cx = cls.__new__(cls)
@@ -433,7 +442,7 @@ class SimplicialComplex:
         s0 = ground.bit_count() - 1 - self.dim
         blocked = {ground ^ f for f in self.facets}
         first = (m for m in map(sum, combinations([1 << v for v in bits(ground)], s0)) if m not in blocked)
-        return _walk_levels(first, budget, budget, blocked)
+        return _walk_levels(first, budget, blocked)
 
     def _dual_levels(self) -> tuple[int, list[list[int]]] | None:
         """(s0, levels) for the Alexander dual D over the n-vertex support

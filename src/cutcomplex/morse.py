@@ -14,10 +14,14 @@ A complex whose faces fill at least half of the 2^b masks below its top
 support bit b (``SimplicialComplex.face_bitmap``; a cut complex with a small
 Alexander dual and no gap in its support) holds each family of faces as one
 int whose bit m is set iff mask m is in the family, and no face is listed.
-A pass at ``a`` over the unmatched faces U is then B = U & LACKₐ & (U >> 2ᵃ),
-the faces σ lacking a with σ ∪ {a} unmatched, and U ^= B | (B << 2ᵃ); B's set
-bits in increasing order are the pass's pairs. A sparser complex keeps sets
-of faces, since a bitmap of 2^b bits for few faces would cost more than they
+A pass at ``a`` over the unmatched faces U is then the stage
+Bₐ = U & LACKₐ & (U >> 2ᵃ), the faces σ lacking a with σ ∪ {a} unmatched,
+and U ^= Bₐ | (Bₐ << 2ᵃ). Such a matching keeps its stages (a, Bₐ) in the
+order they were made; its pairs (s, s ∪ {a}), s in Bₐ, are listed only when
+read, and the count, the census and the JSON record come from the stages.
+Pairs given by hand on such a complex are grouped into stages by their
+vertex, so one check serves both. A sparser complex keeps sets of faces and
+pairs, since a bitmap of 2^b bits for few faces would cost more than they
 do: Δ₂₇(P₃₀) has 4,522 faces among 2³⁰ masks.
 
 Acyclicity is never assumed, since ``verify_acyclic_and_critical`` also
@@ -26,8 +30,10 @@ diagram with matched edges reversed upward. Only faces matched upward can
 lie on a cycle (Forman, "Morse theory for cell complexes", 1998: closed
 V-paths alternate between two adjacent dimensions), so the check probes the
 facets of the faces matched upward alone, and runs Kahn's algorithm only on
-the faces that have an edge among them. On bitmaps those faces are found
-first, by shifts and ANDs per pair of vertices. This module only reports
+the faces that have an edge among them. On stages the faces matched up and
+down are ⋁Bₐ and ⋁(Bₐ << 2ᵃ); the faces with an edge s -> s + 2ᵃ - 2ᵛ come
+from one shift and AND per pair of vertices (a, v), and their edges from
+byte views of the stages and of ⋁Bₐ. This module only reports
 critical-cell censuses; homotopy conclusions are left to callers pairing
 them with homology.
 """
@@ -35,10 +41,10 @@ them with homology.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import gt, itemgetter, xor
+from operator import gt, itemgetter, or_, xor
+from typing import Iterable, Iterator
 
 from .bitsets import bitmap_masks, bits, bytes_bitmap, lacking, mask_bytes, to_tuple
 from .complexes import SimplicialComplex
@@ -47,6 +53,11 @@ from .graphs import Graph, from_edge_list, has_triangle
 
 # _LOW_TEXT[b]: the set bit positions of byte value b, each written ", v"
 _LOW_TEXT = tuple("".join(f", {v}" for v in bits(b)) for b in range(256))
+# The pair record is joined from the texts of runs of this many pairs, tens of
+# kilobytes each, so only the whole record is a large block: on
+# ``morse prism:10 --k 4 --order prism --json`` (521,560 pairs) one text per
+# stage peaked at 174-175 MB RSS and these runs at 145-148 MB, with the same bytes.
+_TEXT_RUN = 1024
 
 
 class _HighText(dict):
@@ -58,29 +69,97 @@ class _HighText(dict):
         return text
 
 
-@dataclass(frozen=True)
+def _pairs_text(pairs: Iterable[tuple[int, int]], low: tuple[str, ...], high: _HighText) -> str:
+    """The pairs (s, t) as the JSON text of [vertices of s, vertices of t]
+    per pair, joined by ", ". Each face's text is its low byte's from the
+    table ``low`` and the rest's from the memo ``high``, ", "-prefixed."""
+    return ", ".join([
+        f"[[{(low[s & 255] + high[s >> 8])[2:]}], [{(low[t & 255] + high[t >> 8])[2:]}]]" for s, t in pairs
+    ])
+
+
+def _added_bits(pairs) -> list[int]:
+    """t ^ s for each pair (s, t), the bit of the vertex that t adds to s;
+    a ValueError unless every t is s plus one vertex."""
+    lows, highs = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+    added = list(map(xor, highs, lows))
+    if not all(map(gt, highs, lows)) or any(d.bit_count() != 1 for d in set(added)):
+        raise ValueError("matched pair does not differ by one vertex")
+    return added
+
+
 class MorseMatching:
-    complex: SimplicialComplex
-    pairs: tuple[tuple[int, int], ...]
+    """Pairs (s, t) of faces of ``complex``, each t = s ∪ {a} for a vertex
+    a ∉ s. A matching given as pairs holds them as given. One built by
+    element matchings on a complex with a face bitmap holds its stages
+    (a, Bₐ), Bₐ the bitmap of the faces s matched up to s ∪ {a}, and lists
+    ``pairs`` on first read: stage by stage, each in increasing order of s."""
+
+    def __init__(self, complex: SimplicialComplex, pairs: Iterable[tuple[int, int]]):
+        self.complex = complex
+        self.pairs = tuple(pairs)
+
+    @classmethod
+    def _from_stages(cls, complex: SimplicialComplex, faces: int, stages) -> MorseMatching:
+        """The matching of the stages (a, Bₐ) on ``complex``, whose face
+        bitmap is ``faces``."""
+        m = cls.__new__(cls)
+        m.complex = complex
+        m._stages = (faces, tuple(stages))
+        return m
 
     @cached_property
-    def _bitmaps(self) -> tuple[int, bytearray, int, int] | None:
-        """(faces, stage, lower, upper) when the complex has a face bitmap,
-        else None: stage[s] is a + 1 for the pair (s, s ∪ {a}), and the
-        bitmaps of the lower and upper faces of the pairs. A mask that is
-        not below the bitmap's width is no face."""
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs of a matching built from stages, listed on first read."""
+        out = []
+        for a, b in self._stages[1]:
+            lows = bitmap_masks(b)
+            out += zip(lows, map((1 << a).__or__, lows))
+        return tuple(out)
+
+    @cached_property
+    def _stages(self) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+        """(faces, stages) when the complex has a face bitmap, else None: the
+        given pairs grouped by their vertex a into stages (a, Bₐ). A pair
+        that is not one vertex apart, or whose lower face is below 0 or past
+        the bitmap, raises ValueError."""
         faces = self.complex.face_bitmap()
         if faces is None:
             return None
-        width = faces.bit_length()
-        lows = list(map(itemgetter(0), self.pairs))
-        highs = list(map(itemgetter(1), self.pairs))
+        lows: dict[int, list[int]] = {}
+        for s, added in zip(map(itemgetter(0), self.pairs), _added_bits(self.pairs)):
+            lows.setdefault(added.bit_length() - 1, []).append(s)
         try:
-            stage = mask_bytes(lows, width, map(int.bit_length, map(xor, highs, lows)))
-            upper = bytes_bitmap(mask_bytes(highs, width))
+            return faces, tuple((a, bytes_bitmap(mask_bytes(masks, faces.bit_length()))) for a, masks in lows.items())
         except ValueError:
             raise ValueError("matched pair involves a non-face") from None
-        return faces, stage, bytes_bitmap(stage), upper
+
+    @cached_property
+    def _bitmaps(self) -> tuple[int, tuple[tuple[int, int], ...], int, int] | None:
+        """(faces, stages, lower, upper) when the complex has a face bitmap,
+        else None: lower = ⋁Bₐ and upper = ⋁(Bₐ << 2ᵃ) are the faces
+        matched up and down. A stage face that holds its vertex, or a face of
+        a pair that is no face, raises ValueError."""
+        if self._stages is None:
+            return None
+        faces, stages = self._stages
+        if any(b & ~lacking(a, b.bit_length()) for a, b in stages):  # a face of Bₐ holds a
+            raise ValueError("matched pair does not differ by one vertex")
+        # an upper face s + 2ᵃ past the bitmap is found before B is shifted to it
+        width = faces.bit_length()
+        if any(b.bit_length() + (1 << a) > width for a, b in stages if b):
+            raise ValueError("matched pair involves a non-face")
+        lower = reduce(or_, map(itemgetter(1), stages), 0)
+        upper = reduce(or_, [b << (1 << a) for a, b in stages], 0)
+        if (lower | upper) & ~faces:
+            raise ValueError("matched pair involves a non-face")
+        return faces, stages, lower, upper
+
+    def pair_count(self) -> int:
+        """The number of pairs, a popcount per stage until they are listed."""
+        if "pairs" in vars(self):
+            return len(self.pairs)
+        return sum(b.bit_count() for _, b in self._stages[1])
 
     def matched_faces(self) -> frozenset:
         return frozenset(chain.from_iterable(self.pairs))
@@ -96,29 +175,40 @@ class MorseMatching:
 
     def pairs_json(self) -> str:
         """The pairs as JSON text, the bytes ``json.dumps`` writes for a list
-        of [vertices of s, vertices of t] per pair. Each face's text is its
-        low byte's from a table and the rest's from a memo, ", "-prefixed."""
-        low, high = _LOW_TEXT, _HighText()
-        return "[" + ", ".join([
-            f"[[{(low[s & 255] + high[s >> 8])[2:]}], [{(low[t & 255] + high[t >> 8])[2:]}]]" for s, t in self.pairs
-        ]) + "]"
+        of [vertices of s, vertices of t] per pair."""
+        high = _HighText()
+        return "[" + ", ".join([_pairs_text(run, _LOW_TEXT, high) for run in self._runs()]) + "]"
+
+    def _runs(self) -> Iterator[Iterable[tuple[int, int]]]:
+        """The pairs in runs of at most ``_TEXT_RUN``: from the pairs once
+        they are listed, else stage by stage."""
+        if "pairs" in vars(self):
+            for i in range(0, len(self.pairs), _TEXT_RUN):
+                yield self.pairs[i:i + _TEXT_RUN]
+        else:
+            for a, b in self._stages[1]:
+                lows = bitmap_masks(b)
+                for i in range(0, len(lows), _TEXT_RUN):
+                    run = lows[i:i + _TEXT_RUN]
+                    yield zip(run, map((1 << a).__or__, run))
 
 
-def _bitmap_pairs(faces: int, order, keep: int) -> list[tuple[int, int]]:
+def _bitmap_stages(faces: int, order, keep: int) -> list[tuple[int, int]]:
     """The element matchings at ``order`` on the faces of the bitmap
-    ``faces``, as pairs in the order they are made; a pair is kept only when
-    both of its faces are in the bitmap ``keep``."""
+    ``faces``, as stages (a, Bₐ) in the order they are made; a pair is kept
+    only when both of its faces are in the bitmap ``keep``, and a stage only
+    when it keeps a pair."""
     width = faces.bit_length()
-    pairs = []
+    stages = []
     for a in order:
         bit = 1 << a
         if bit < width:  # otherwise no face holds a
             new = faces & lacking(a, width) & (faces >> bit)
             if new:
                 faces ^= new | new << bit
-                lows = bitmap_masks(new & keep & (keep >> bit))
-                pairs += zip(lows, map(bit.__or__, lows))
-    return pairs
+                if kept := new & keep & (keep >> bit):
+                    stages.append((a, kept))
+    return stages
 
 
 def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatching:
@@ -131,7 +221,7 @@ def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatch
             raise ValueError(f"vertex {a} is not in 0..{cx.ambient - 1}")
     faces = cx.face_bitmap()
     if faces is not None:
-        return MorseMatching(cx, tuple(_bitmap_pairs(faces, order, faces)))
+        return MorseMatching._from_stages(cx, faces, _bitmap_stages(faces, order, faces))
     # ``faces`` lists the unmatched faces in increasing order, ``unmatched``
     # holds the same faces. A pass at ``a`` pairs no face twice (σ lacks a,
     # σ ∪ {a} has it), so matched faces leave both only after the pass.
@@ -150,33 +240,55 @@ def element_matching_sequence(cx: SimplicialComplex, vertex_order) -> MorseMatch
     return MorseMatching(cx, tuple(pairs))
 
 
-def _edge_sources(faces: int, stage: bytearray, lower: int) -> list[int]:
-    """The faces s matched upward, to t = s ∪ {a}, with a facet t - v (v in s)
-    that is also matched upward: for each a and v, those in Bₐ & HASᵥ whose
-    mask plus 2ᵃ - 2ᵛ is in ``lower``, where Bₐ holds the faces matched up
-    at a and HASᵥ the masks holding v."""
-    width = faces.bit_length()
+def _stage_edges(width: int, stages, lower: int) -> dict[int, list[int]]:
+    """The edges among the faces matched upward, as s -> its successors: for
+    a face s of Bₐ and a vertex v of s, the facet t - v of t = s ∪ {a} is
+    s + 2ᵃ - 2ᵛ, an edge when it is in ``lower``.
+
+    The faces with an edge are found first: for each a and v, those of
+    Bₐ & HASᵥ whose mask plus 2ᵃ - 2ᵛ is in ``lower``, HASᵥ the masks
+    holding v. Only they are listed, and each one's stage and edges are then
+    read off byte views of the stages and of ``lower``: one lookup per edge,
+    where listing every (a, v) bitmap would scan its 2^n bits each time."""
     nv = (width - 1).bit_length()  # the vertices v with 2^v < width
     has = [lacking(v, width) << (1 << v) for v in range(nv)]
     found = 0
-    for a in range(nv):
-        up_at_a = bytes_bitmap(stage, a + 1)
-        if up_at_a:
-            for v in range(nv):
-                shift = (1 << a) - (1 << v)
-                found |= up_at_a & has[v] & (lower >> shift if shift > 0 else lower << -shift)
-    return bitmap_masks(found)
+    for a, b in stages:
+        for v in range(nv):
+            step = (1 << a) - (1 << v)
+            if step:
+                found |= b & has[v] & (lower >> step if step > 0 else lower << -step)
+    size = (width + 7) >> 3
+    views = [(1 << a, b.to_bytes(size, "little")) for a, b in stages]
+    down = lower.to_bytes(size, "little")
+    succ: dict[int, list[int]] = {}
+    for s in bitmap_masks(found):
+        byte, bit = s >> 3, 1 << (s & 7)
+        t = s | next(up for up, view in views if view[byte] & bit)
+        succ[s] = [x for x in (t ^ 1 << v for v in bits(s)) if down[x >> 3] >> (x & 7) & 1]
+    return succ
+
+
+def _pair_edges(up: dict[int, int]) -> dict[int, list[int]]:
+    """The edges among the faces matched upward by ``up`` (s -> t), as
+    s -> its successors t - v for v in s with t - v in ``up``."""
+    succ: dict[int, list[int]] = {}
+    for s, t in up.items():
+        rest = s
+        while rest:  # each facet t - v of t with v in s, by the lowest set bit of s
+            low = rest & -rest
+            rest ^= low
+            if t ^ low in up:
+                succ.setdefault(s, []).append(t ^ low)
+    return succ
 
 
 def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]:
     """Validate the pairing structurally, then test acyclicity of the
     modified Hasse diagram (matched covers point up, the rest point down)
     on the faces matched upward."""
-    up = dict(m.pairs)
-    # t = s ∪ {v} with v ∉ s: t differs from s in one bit, and t holds it
-    if not all(map(gt, up.values(), up)) or any(d.bit_count() != 1 for d in set(map(xor, up.values(), up))):
-        raise ValueError("matched pair does not differ by one vertex")
     if m._bitmaps is None:
+        _added_bits(m.pairs)
         # The census subtracts the set of paired faces from the faces: it leaves
         # all but 2p of them iff the 2p faces of the p pairs are distinct faces.
         faces = m.complex.face_set()
@@ -185,33 +297,23 @@ def verify_acyclic_and_critical(m: MorseMatching) -> tuple[bool, dict[int, int]]
             if not faces.issuperset(chain.from_iterable(m.pairs)):
                 raise ValueError("matched pair involves a non-face")
             raise ValueError("face appears in more than one pair")
-        sources = up
+        succ = _pair_edges(dict(m.pairs))
     else:
+        # the one-vertex and non-face checks ran when the bitmaps were made;
         # the 2p faces of the p pairs are distinct iff the two bitmaps share
         # no face and hold 2p faces between them
-        faces, stage, lower, upper = m._bitmaps
-        if (lower | upper) & ~faces:
-            raise ValueError("matched pair involves a non-face")
-        if lower & upper or lower.bit_count() + upper.bit_count() != 2 * len(m.pairs):
+        faces, stages, lower, upper = m._bitmaps
+        if lower & upper or lower.bit_count() + upper.bit_count() != 2 * m.pair_count():
             raise ValueError("face appears in more than one pair")
         census = m.critical_census()
-        sources = _edge_sources(faces, stage, lower)
+        succ = _stage_edges(faces.bit_length(), stages, lower)
 
     # A cycle of the modified Hasse diagram cannot climb two dimensions: a face
     # reached by an up-edge is matched down and has no up-edge, so it steps
     # down next. Every cycle therefore alternates between two adjacent
     # dimensions through faces matched upward: σ -> σ' for each facet σ' != σ
-    # of up[σ] with σ' in up. Few faces have such an edge, and Kahn's
-    # algorithm runs on those alone.
-    succ = {}
-    for s in sources:
-        t = up[s]
-        rest = s
-        while rest:  # each facet t - v of t with v in s, by the lowest set bit of s
-            low = rest & -rest
-            rest ^= low
-            if t ^ low in up:
-                succ.setdefault(s, []).append(t ^ low)
+    # of σ's partner with σ' matched upward too. Few faces have such an edge,
+    # and Kahn's algorithm runs on those alone.
     indeg = Counter(chain.from_iterable(succ.values()))
     left = indeg.total()  # Kahn's algorithm removes every edge iff there is no cycle
     queue = [s for s in succ if not indeg[s]]
@@ -277,7 +379,7 @@ def restricted_matching(g: Graph) -> MorseMatching:
     target = cut_complex(g, 2)
     faces, keep = on_tree.face_bitmap(), target.face_bitmap()
     if faces is not None and keep is not None:
-        return MorseMatching(target, tuple(_bitmap_pairs(faces, order, keep)))
+        return MorseMatching._from_stages(target, keep, _bitmap_stages(faces, order, keep))
     keep = target.face_set()
     pairs = tuple((s, t) for s, t in element_matching_sequence(on_tree, order).pairs if s in keep and t in keep)
     return MorseMatching(target, pairs)

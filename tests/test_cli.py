@@ -343,6 +343,25 @@ def test_morse_on_a_face_bitmap_lists_no_faces(monkeypatch, capsys):
     assert expected[0] == 0 and json.loads(expected[1])["acyclic"] is True
 
 
+def test_morse_on_a_face_bitmap_lists_no_pair(monkeypatch, capsys):
+    import cutcomplex.morse as morse
+
+    def refuse(*args):
+        raise AssertionError("a pair tuple or a byte table of pairs was built")
+
+    runs = [("path:10", "--k", "2", "--order", "tree"), ("prism:5", "--k", "3", "--order", "prism"),
+            ("cycle:9", "--k", "2", "--order", "restricted")]
+    expected = [run(capsys, "morse", *argv, "--json") for argv in runs]
+    monkeypatch.setattr(morse.MorseMatching, "pairs", property(refuse))
+    monkeypatch.setattr(morse, "mask_bytes", refuse)
+    for argv, want in zip(runs, expected):
+        assert cut_complex(family(argv[0]), int(argv[2])).face_bitmap() is not None
+        code, out, err = run(capsys, "morse", *argv, "--json")
+        report = json.loads(out)
+        assert (code, out, err) == want and report["acyclic"] is True
+        assert report["pairs"] == len(report["matching"]["pairs"]) > 0
+
+
 def test_covered_graphs_past_64_vertices(capsys):
     # the dual walk's budget, near 2^(n-1), is past sys.maxsize from n = 65 on
     for spec in ("cycle:65", "star:70", "complete_multipartite:22,22,22"):

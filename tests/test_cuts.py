@@ -159,6 +159,11 @@ def test_few_facets_are_listed_without_walking_the_dual(monkeypatch):
     assert cx._facets is not None and cx._dual_levels() is None
     assert cx == eager and cx.f_vector() == eager.f_vector()
     assert reduced_homology(cx) == reduced_homology(eager)
+    # Δ_9(Kneser(7, 2)): 945 facets, more than 2^8, but each of 12 of the 21
+    # vertices, so at most Σ_s min(C(21, s), 945·C(12, s)) = 684,485 faces,
+    # no more than 2^20; the walk stops after the connected 9-sets
+    cx = cut_complex(family("kneser:7,2"), 9)
+    assert cx._facets is not None and cx._dual_levels() is None and len(cx.facets) == 945
 
 
 def test_a_covered_complex_whose_walk_gave_up_walks_no_more(monkeypatch):

@@ -330,7 +330,7 @@ def test_connected_ksets_match_brute_force(n, p, seed):
 def test_connected_levels_match_brute_force(n, p, seed):
     # the sets of size >= k whose k-subsets are all connected, by size, in
     # lexicographic order, as the dual walk grows them from the connected
-    # k-sets; a budget or a first-level cap below their number gives None
+    # k-sets; a budget below their number gives None
     g = random_graph(random.Random(seed), n, p)
     for k in range(1, n + 1):
         want = [[s for s in combinations(range(g.n), size) if all(brute_connected(g, t) for t in combinations(s, k))]
@@ -338,11 +338,9 @@ def test_connected_levels_match_brute_force(n, p, seed):
         while want and not want[-1]:
             want.pop()
         total = sum(map(len, want))
-        first = len(want[0]) if want else 0
-        levels = _walk_levels(connected_ksets(g, k), total, first, ())
+        levels = _walk_levels(connected_ksets(g, k), total, ())
         assert [[to_tuple(m) for m in level] for level in levels] == want
-        assert total == 0 or _walk_levels(connected_ksets(g, k), total - 1, first, ()) is None
-        assert first == 0 or _walk_levels(connected_ksets(g, k), total, first - 1, ()) is None
+        assert total == 0 or _walk_levels(connected_ksets(g, k), total - 1, ()) is None
 
 
 def test_connected_ksets_examples():

@@ -350,7 +350,7 @@ def test_large_dual_matches_the_closed_form(spec, k):
 def _connected_route(g, k, cx):
     """The route called directly, past the side rule, with duality over all
     of V(g): correct even when the facets miss a vertex, as D is then a cone."""
-    levels = _walk_levels(connected_ksets(g, k), 1 << g.n, 1 << g.n, ())
+    levels = _walk_levels(connected_ksets(g, k), 1 << g.n, ())
     return HomologyReport(*_shifted_groups(g.n, cx.dim, _dual_groups(g.n, k, levels)))
 
 

@@ -124,6 +124,28 @@ def test_malformed_matchings_rejected():
             verify_acyclic_and_critical(MorseMatching(triangle, pairs))
 
 
+def test_malformed_stages_raise_the_pair_form_message():
+    # a stage (a, B) matches each face s of the bitmap B to s ∪ {a}
+    boundary = from_facets([(0, 1), (1, 2), (0, 2)])  # all masks below 8 but {0, 1, 2}
+    cases = [
+        ([(0, 1 << 0b001)], ((0b001, 0b001),)),  # {0} holds the vertex 0
+        ([(1, 1 << 0b001), (1, 1 << 0b001)], ((0b001, 0b011), (0b001, 0b011))),  # two stages at 1 share {0}
+        ([(1, 1 << 0b001), (1, 1 << 0b100)], ((0b001, 0b011), (0b100, 0b110))),  # two stages at 1, disjoint
+        ([(2, 1 << 0b011)], ((0b011, 0b111),)),  # {0, 1, 2} is no face
+        ([(0, 1 << 0b1000)], ((0b1000, 0b1001),)),  # {3} is past the bitmap
+        ([(70, 1)], ((0, 1 << 70),)),  # so is {70}, far past it
+    ]
+    outcomes = []
+    for stages, pairs in cases:
+        staged = MorseMatching._from_stages(boundary, boundary.face_bitmap(), stages)
+        outcome = _outcome(lambda: verify_acyclic_and_critical(staged))
+        assert outcome == _outcome(lambda: verify_acyclic_and_critical(MorseMatching(boundary, pairs))), stages
+        outcomes.append(outcome)
+    assert outcomes == ["ValueError: matched pair does not differ by one vertex",
+                        "ValueError: face appears in more than one pair", (True, {-1: 1, 0: 1, 1: 1}),
+                        *["ValueError: matched pair involves a non-face"] * 3]
+
+
 def test_restricted_matching_c5():
     mm = restricted_matching(family("cycle:5"))
     acyclic, census = verify_acyclic_and_critical(mm)
@@ -469,6 +491,35 @@ def test_bitmap_and_set_paths_give_the_same_matchings():
 
     check()
     assert dense.count(True) >= len(dense) // 4 and False in dense
+
+
+def _record(m):
+    """Everything a matching reports, its check's outcome first, and its
+    pairs last: a matching built from stages counts and writes them from the
+    stages until they are listed."""
+    return (_outcome(lambda: verify_acyclic_and_critical(m)), m.critical_faces(), m.critical_census(),
+            m.pair_count(), m.pairs_json(), m.pairs)
+
+
+def test_matchings_from_stages_and_from_their_pairs_agree():
+    dense = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_and_sparse_complexes(), st.data())
+    def check(cx, data):
+        order = data.draw(st.permutations(range(cx.ambient)))[: data.draw(st.integers(0, cx.ambient))]
+        dense.append(cx.face_bitmap() is not None)
+
+        def both():
+            mm = element_matching_sequence(cx, order)
+            return _record(mm), _record(MorseMatching(cx, tuple(mm.pairs)))
+
+        picked, on_sets = _on_both_paths(both)
+        assert picked[0] == picked[1] and on_sets[0] == on_sets[1]
+        assert picked == on_sets
+
+    check()
+    assert True in dense and False in dense
 
 
 def test_bad_pairings_raise_the_same_message_on_both_paths():
