@@ -229,8 +229,11 @@ def cmd_morse(args) -> int:
     }
     if args.json:  # the pair list is only printed in the JSON record, written as text
         texts = {key: json.dumps(value, sort_keys=True) for key, value in report.items()}
-        texts["matching"] = _json_record({"critical_census": texts["critical_census"], "pairs": matching.pairs_json()})
-        print(_json_record(texts))
+        # "\0" marks where the pair text goes: json.dumps escapes it in any
+        # value, so the record is joined once and written once
+        texts["matching"] = _json_record({"critical_census": texts["critical_census"], "pairs": "\0"})
+        head, tail = _json_record(texts).split("\0")
+        sys.stdout.write("".join([head, *matching.pairs_json_parts(), tail, "\n"]))
         return 0
     print(f"graph: {args.graph}, k={args.k}")
     print(f"pairs: {matching.pair_count()}")

@@ -24,6 +24,19 @@ vertex, so one check serves both. A sparser complex keeps sets of faces and
 pairs, since a bitmap of 2^b bits for few faces would cost more than they
 do: Δ₂₇(P₃₀) has 4,522 faces among 2³⁰ masks.
 
+The JSON record of a matching built from stages is written from them, 256
+masks at a time, whether or not its pairs have been listed: a chunk is the
+32 bytes of Bₐ that hold the masks s with one high part h = s >> 8. Its
+text is a template memoized for the call, keyed by its bytes and by a when
+a < 8; from 8 up, t = s ∪ {a} has s's low byte, so every such a shares one
+template. Two sentinel characters in it stand for the texts of the high
+parts of s and of t (one serves both when a < 8), and ``str.replace`` fills
+them from a list of the 2^(n-8) high texts built by doubling. Few templates serve many chunks: 12
+for the 270 non-empty chunks of the tree matching on Δ₂(P₁₆), 224 for the
+4,851 of the prism matching on Δ₄(prism₁₀). The pair whose lower face has
+low byte 0 is written on its own, so no text starts with a ", " to strip.
+Pairs given as pairs are written as given.
+
 Acyclicity is never assumed, since ``verify_acyclic_and_critical`` also
 certifies matchings it did not build: it runs cycle detection on the Hasse
 diagram with matched edges reversed upward. Only faces matched upward can
@@ -44,7 +57,7 @@ from collections import Counter
 from functools import cached_property, reduce
 from itertools import chain
 from operator import gt, itemgetter, or_, xor
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bitsets import bitmap_masks, bits, bytes_bitmap, lacking, mask_bytes, to_tuple
 from .complexes import SimplicialComplex
@@ -53,11 +66,14 @@ from .graphs import Graph, from_edge_list, has_triangle
 
 # _LOW_TEXT[b]: the set bit positions of byte value b, each written ", v"
 _LOW_TEXT = tuple("".join(f", {v}" for v in bits(b)) for b in range(256))
-# The pair record is joined from the texts of runs of this many pairs, tens of
-# kilobytes each, so only the whole record is a large block: on
-# ``morse prism:10 --k 4 --order prism --json`` (521,560 pairs) one text per
-# stage peaked at 174-175 MB RSS and these runs at 145-148 MB, with the same bytes.
+# Pairs given as pairs are written in runs of this many, tens of kilobytes of
+# text each, so only the whole record is a large block.
 _TEXT_RUN = 1024
+# A chunk of a stage is the 32 bytes of its bitmap that hold the 256 masks
+# with one high part s >> 8; its template holds these two characters, which
+# JSON text of integers never does, where the high texts of s and of t go.
+_CHUNK = 32
+_S_HIGH, _T_HIGH = "\0", "\1"
 
 
 class _HighText(dict):
@@ -78,6 +94,49 @@ def _pairs_text(pairs: Iterable[tuple[int, int]], low: tuple[str, ...], high: _H
     ])
 
 
+def _chunk_template(chunk: bytes, a: int) -> str:
+    """The text of the pairs (s, s ∪ {a}) of one chunk of the stage Bₐ,
+    those whose low byte is not 0, with ``_S_HIGH`` and ``_T_HIGH`` for the
+    texts of the high parts of s and of t. Below 8, a is in t's low byte and
+    t has s's high part; from 8 up, t has s's low byte, so the template is
+    the same for every such a."""
+    add, t_high = (1 << a, _S_HIGH) if a < 8 else (0, _T_HIGH)
+    return ", ".join([
+        f"[[{_LOW_TEXT[low][2:]}{_S_HIGH}], [{_LOW_TEXT[low | add][2:]}{t_high}]]"
+        for low in bitmap_masks(int.from_bytes(chunk, "little") & ~1)
+    ])
+
+
+def _stages_texts(faces: int, stages) -> list[str]:
+    """The texts of the pairs of the stages (a, Bₐ) on the face bitmap
+    ``faces``, in order, to be joined by ", ": one per non-empty chunk of a
+    stage, filled from a template memoized for the call, and one for each
+    pair whose lower face has low byte 0."""
+    high = [""]  # high[h]: the vertices from 8 up of a mask s with s >> 8 == h, each ", v"
+    for v in range(8, (faces.bit_length() - 1).bit_length()):
+        high += [text + f", {v}" for text in high]
+    empty = bytes(_CHUNK)
+    templates: dict[tuple[bytes, int], str] = {}
+    texts = []
+    for a, b in stages:
+        key, up = (a, 0) if a < 8 else (8, 1 << a - 8)
+        view = b.to_bytes(-(-b.bit_length() // 256) * _CHUNK, "little")
+        for h in range(len(view) // _CHUNK):
+            chunk = view[h * _CHUNK:(h + 1) * _CHUNK]
+            if chunk == empty:
+                continue
+            if chunk[0] & 1:  # s = h << 8
+                t = h << 8 | 1 << a
+                texts.append(f"[[{high[h][2:]}], [{(_LOW_TEXT[t & 255] + high[t >> 8])[2:]}]]")
+            template = templates.get((chunk, key))
+            if template is None:
+                template = templates[chunk, key] = _chunk_template(chunk, a)
+            if template:
+                text = template.replace(_S_HIGH, high[h])
+                texts.append(text.replace(_T_HIGH, high[h | up]) if up else text)
+    return texts
+
+
 def _added_bits(pairs) -> list[int]:
     """t ^ s for each pair (s, t), the bit of the vertex that t adds to s;
     a ValueError unless every t is s plus one vertex."""
@@ -95,6 +154,8 @@ class MorseMatching:
     (a, Bₐ), Bₐ the bitmap of the faces s matched up to s ∪ {a}, and lists
     ``pairs`` on first read: stage by stage, each in increasing order of s."""
 
+    _staged = False  # built from its stages, which then give its pair order
+
     def __init__(self, complex: SimplicialComplex, pairs: Iterable[tuple[int, int]]):
         self.complex = complex
         self.pairs = tuple(pairs)
@@ -106,6 +167,7 @@ class MorseMatching:
         m = cls.__new__(cls)
         m.complex = complex
         m._stages = (faces, tuple(stages))
+        m._staged = True
         return m
 
     @cached_property
@@ -176,21 +238,21 @@ class MorseMatching:
     def pairs_json(self) -> str:
         """The pairs as JSON text, the bytes ``json.dumps`` writes for a list
         of [vertices of s, vertices of t] per pair."""
-        high = _HighText()
-        return "[" + ", ".join([_pairs_text(run, _LOW_TEXT, high) for run in self._runs()]) + "]"
+        return "".join(self.pairs_json_parts())
 
-    def _runs(self) -> Iterator[Iterable[tuple[int, int]]]:
-        """The pairs in runs of at most ``_TEXT_RUN``: from the pairs once
-        they are listed, else stage by stage."""
-        if "pairs" in vars(self):
-            for i in range(0, len(self.pairs), _TEXT_RUN):
-                yield self.pairs[i:i + _TEXT_RUN]
+    def pairs_json_parts(self) -> list[str]:
+        """Texts whose concatenation is ``pairs_json()``, so that a record
+        holding it is joined once. A matching built from stages is written
+        from them, listed pairs or not; pairs given as pairs, as given."""
+        if self._staged:
+            texts = _stages_texts(*self._stages)
         else:
-            for a, b in self._stages[1]:
-                lows = bitmap_masks(b)
-                for i in range(0, len(lows), _TEXT_RUN):
-                    run = lows[i:i + _TEXT_RUN]
-                    yield zip(run, map((1 << a).__or__, run))
+            high = _HighText()
+            runs = range(0, len(self.pairs), _TEXT_RUN)
+            texts = [_pairs_text(self.pairs[i:i + _TEXT_RUN], _LOW_TEXT, high) for i in runs]
+        parts = [", "] * max(2 * len(texts) - 1, 0)
+        parts[::2] = texts
+        return ["[", *parts, "]"]
 
 
 def _bitmap_stages(faces: int, order, keep: int) -> list[tuple[int, int]]:

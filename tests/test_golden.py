@@ -31,7 +31,7 @@ SHELL = [
 ]
 MORSE = [
     "prism:4 --k 3 --order prism", "path:6 --k 2 --order tree", "cycle:6 --k 2 --order restricted",
-    "cycle:5 --k 2 --order 0,1,2,3,4",
+    "cycle:5 --k 2 --order 0,1,2,3,4", "path:9 --k 2 --order tree", "prism:5 --k 2 --order prism",
 ]
 
 

@@ -1,9 +1,10 @@
 import json
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutcomplex import (
@@ -429,6 +430,53 @@ def test_pair_record_text_of_an_element_matching_pairs_the_empty_face():
     assert mm.pairs_json().startswith("[[[], [17]], ")
     assert mm.pairs_json() == _dumped(mm.pairs)
 
+
+
+@st.composite
+def stage_matching_cases(draw):
+    """(graph, k, vertex order) for element matchings on the cut complex of a
+    random graph on 8-13 vertices, or (graph, 2, None) for the restricted
+    matching of a random connected triangle-free non-tree on 9-12 vertices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(8, 13))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True, max_size=2 * n))
+        order = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+        return from_edge_list(n, edges), draw(st.integers(2, 4)), order
+    n = draw(st.integers(9, 12))
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):  # a random tree, each vertex below a lower parent
+        u = draw(st.integers(0, v - 1))
+        adj[u].add(v)
+        adj[v].add(u)
+    extra = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True, min_size=1, max_size=4))
+    for u, v in extra:
+        if v not in adj[u] and not adj[u] & adj[v]:
+            adj[u].add(v)
+            adj[v].add(u)
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+    assume(len(edges) >= n)  # some extra edge closed no triangle
+    return from_edge_list(n, edges), 2, None
+
+
+def test_pair_record_text_of_stages_is_the_json_dumps_bytes():
+    staged = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage_matching_cases())
+    @example((from_edge_list(3, [(0, 1)]), 2, [0, 1, 2]))  # a bitmap shorter than one chunk
+    @example((family("path:8"), 2, [0, 1, 2, 3, 4, 5, 6, 7]))
+    @example((family("path:10"), 2, [3, 0, 1, 2, 4, 5, 6, 7, 8, 9]))  # the empty face paired at 3
+    @example((family("path:10"), 2, [9, 0, 1, 2, 3, 4, 5, 6, 7, 8]))  # and at 9, past the low byte
+    def check(case):
+        g, k, order = case
+        mm = restricted_matching(g) if order is None else element_matching_sequence(cut_complex(g, k), order)
+        staged.append(mm._staged)
+        text = mm.pairs_json()  # written from the stages, no pair listed yet
+        assert text == _dumped(mm.pairs)
+        assert mm.pairs_json() == text  # the same once the pairs are listed
+
+    check()
+    assert staged[:4] == [True] * 4 and staged.count(True) >= len(staged) // 2
 
 # -- the bitmap path and the set path ------------------------------------------
 
