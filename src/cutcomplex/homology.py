@@ -6,12 +6,15 @@ form. Free ranks come from the ranks of consecutive boundary maps; torsion
 coefficients are the diagonal entries greater than one.
 
 Everything is exact: the Smith reduction works on sparse rows of unbounded
-Python ints, pivoting on the first unit entry. Boundary matrices and Smith
-reduction run on whichever side of Alexander duality has fewer faces; for
-cut complexes that is usually the dual. The side is decided without listing
-a face of the larger side. A small dual is held as a complete skeleton
-below some size s0 plus listed levels from s0 up: the skeleton is counted,
-not listed, its boundary ranks are binomial coefficients, and Smith
+Python ints. It splits off the unit pivots first, then reduces what is left,
+usually nothing. A chain's maps are reduced from the lowest up, and the rows
+of each map at the unit-pivot columns of the map below are deleted before it
+is reduced, which keeps its rank and Smith diagonal. Boundary matrices and
+Smith reduction run on whichever side of Alexander duality has fewer faces;
+for cut complexes that is usually the dual. The side is decided without
+listing a face of the larger side. A small dual is held as a complete
+skeleton below some size s0 plus listed levels from s0 up: the skeleton is
+counted, not listed, its boundary ranks are binomial coefficients, and Smith
 reduction runs only on the listed levels.
 """
 
@@ -37,45 +40,76 @@ class IntMatrix:
 # Smith normal form
 
 
-def _snf_sparse(entries):
+def _snf_sparse(entries, units=None):
     """Exact reduction on dict-of-dicts rows with Python ints; returns the
-    nonzero diagonal before it is put into divisibility order. The pivot is
-    the first entry with |v| = 1 in row order, else the first of least |v|.
-    Every step is a unimodular row or column operation, so any pivot order
-    gives the same diagonal after ``_divisibility_chain``; a unit pivot is an
-    algebraic Morse reduction (Sköldberg, TAMS 2006)."""
+    nonzero diagonal before it is put into divisibility order. Zero entries
+    are skipped.
+
+    Phase 1 splits off unit pivots. Walking the rows in the order of their
+    first entries, it takes a row's first entry v = ±1, at column c, clears
+    c from the other rows with the exact quotient row₂[c]·v, and drops the
+    row and column c: one diagonal 1. Passes repeat until no unit is left,
+    and ``units``, if given, gets each such column. Phase 2 reduces what is
+    left, usually nothing: its pivot is the first entry with |v| = 1 in row
+    order, else the first of least |v|. Every step is a unimodular row or
+    column operation, so any pivot order gives the same diagonal after
+    ``_divisibility_chain``; a unit pivot is an algebraic Morse reduction
+    (Sköldberg, TAMS 2006)."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set] = {}
     for (r, c), v in entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
 
-    def row_sub(r2, r1, q):
-        row1 = rows[r1]
-        row2 = rows.setdefault(r2, {})
+    def row_sub(r2, row1, q):
+        # q and every stored entry are nonzero, so a zero result was stored
+        row2 = rows[r2]
         for c, v in row1.items():
             nv = row2.get(c, 0) - q * v
             if nv:
                 row2[c] = nv
-                cols.setdefault(c, set()).add(r2)
-            elif c in row2:
+                cols[c].add(r2)
+            else:
                 del row2[c]
                 cols[c].discard(r2)
         if not row2:
             del rows[r2]
 
-    diag = []
+    pivots = []
+    progress = True
+    while progress:
+        progress = False
+        for r in list(rows):
+            row = rows.get(r, {})
+            for c, v in row.items():
+                if v == 1 or v == -1:
+                    break
+            else:
+                continue
+            del rows[r]
+            for c2 in row:
+                cols[c2].discard(r)
+            for r2 in list(cols[c]):
+                row_sub(r2, row, rows[r2][c] * v)
+            del cols[c]
+            pivots.append(c)
+            progress = True
+    if units is not None:
+        units.extend(pivots)
+
+    diag = [1] * len(pivots)
     while rows:
-        units = ((r, c, v) for r, row in rows.items() for c, v in row.items() if abs(v) == 1)
+        units_left = ((r, c, v) for r, row in rows.items() for c, v in row.items() if abs(v) == 1)
         every = ((r, c, v) for r, row in rows.items() for c, v in row.items())
-        r, c, v = next(units, None) or min(every, key=lambda e: abs(e[2]))
+        r, c, v = next(units_left, None) or min(every, key=lambda e: abs(e[2]))
         dirty = False
         for r2 in list(cols[c]):
             if r2 == r:
                 continue
             q = rows[r2][c] // v
             if q:
-                row_sub(r2, r, q)
+                row_sub(r2, rows[r], q)
             if rows.get(r2, {}).get(c):
                 dirty = True
         if dirty:
@@ -116,10 +150,11 @@ def _divisibility_chain(diag):
     return [1] * ones + work
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
+def smith_normal_form(m: IntMatrix, units: list | None = None) -> tuple[tuple[int, ...], int]:
     """Diagonal of the Smith normal form (padded with zeros to min(rows, cols))
-    and the rank."""
-    diag = _divisibility_chain(_snf_sparse(m.entries))
+    and the rank. ``units``, if given, gets the columns of the unit pivots
+    that ``_snf_sparse`` split off first."""
+    diag = _divisibility_chain(_snf_sparse(m.entries, units))
     rank = len(diag)
     diag += [0] * (min(m.nrows, m.ncols) - rank)
     return tuple(diag), rank
@@ -130,15 +165,28 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
 
 
 def _boundary(rows: list[int], cols: list[int]) -> IntMatrix:
-    """The boundary map from the faces ``cols`` to the faces ``rows``, which
-    hold every facet of each column, with sign (-1)^j for dropping the j-th
-    vertex of a column."""
+    """The boundary map from the faces ``cols`` to the faces ``rows``, with
+    sign (-1)^j for dropping the j-th vertex of a column. A facet of a
+    column that is not in ``rows`` has no row."""
     index = {f: i for i, f in enumerate(rows)}
     entries = {}
     for col, face in enumerate(cols):
-        for j, v in enumerate(to_tuple(face)):
-            entries[(index[face & ~(1 << v)], col)] = -1 if j % 2 else 1
+        sign = 1
+        rest = face
+        while rest:  # the vertices of the face in increasing order
+            low = rest & -rest
+            row = index.get(face ^ low)
+            if row is not None:
+                entries[(row, col)] = sign
+            sign = -sign
+            rest ^= low
     return IntMatrix(len(rows), len(cols), entries)
+
+
+def _primal_faces(cx: SimplicialComplex) -> list[list[int]]:
+    """cx's faces of each dimension from -1 to dim, in ``faces_by_dim`` order."""
+    by_dim = cx.faces_by_dim()
+    return [by_dim.get(d, []) for d in range(-1, cx.dim + 1)]
 
 
 def boundary_matrices(cx: SimplicialComplex) -> list[IntMatrix]:
@@ -146,8 +194,8 @@ def boundary_matrices(cx: SimplicialComplex) -> list[IntMatrix]:
     face, so the homology computed from these is reduced."""
     if cx.is_void:
         raise ValueError("the void complex has no chain complex")
-    by_dim = cx.faces_by_dim()
-    return [_boundary(by_dim.get(d - 1, []), by_dim.get(d, [])) for d in range(cx.dim + 1)]
+    faces = _primal_faces(cx)
+    return [_boundary(rows, cols) for rows, cols in zip(faces, faces[1:])]
 
 
 @dataclass(frozen=True)
@@ -212,10 +260,40 @@ def _groups(sizes: list[int], snfs: list) -> tuple[dict, dict]:
     return ranks, torsion
 
 
+def _chain_snfs(faces: list[list[int]]) -> list:
+    """Smith diagonal and rank of the boundary map from each face list in
+    ``faces`` to the one before it, reduced from the lowest up.
+
+    The rows of each map at the unit-pivot columns of the map below are
+    deleted first. Splitting off those pivots of ∂_i changes the basis of
+    C_i only by adding pivot cells to other cells, so in the new bases ∂_i
+    splits into ±1 on each pivot cell and a block on the other cells, whose
+    coordinates are unchanged. The pivot coordinates vanish on ker ∂_i,
+    which holds the image of ∂_(i+1), so deleting these rows keeps the rank
+    and the Smith diagonal of ∂_(i+1), torsion included: the "clearing" of
+    Chen and Kerber, "Persistent homology computation with a twist" (EuroCG
+    2011)."""
+    snfs = []
+    rows = faces[0]
+    for cols in faces[1:]:
+        units = []
+        snfs.append(smith_normal_form(_boundary(rows, cols), units))
+        cleared = set(units)
+        rows = [f for i, f in enumerate(cols) if i not in cleared]
+    return snfs
+
+
 def _primal_groups(cx: SimplicialComplex) -> tuple[dict, dict]:
     """Free ranks and torsion of H~_i(cx) for i = -1..dim, computed on cx."""
-    mats = boundary_matrices(cx)
-    return _groups([1] + [m.ncols for m in mats], [smith_normal_form(m) for m in mats])
+    faces = _primal_faces(cx)
+    return _groups([len(f) for f in faces], _chain_snfs(faces))
+
+
+def _dual_faces(levels: list[list[int]]) -> list[list[int]]:
+    """The face lists whose maps a small dual reduces: the sets one vertex
+    smaller than some set of the first level, then ``levels``."""
+    rows = sorted({m & ~(1 << v) for m in levels[0] for v in bits(m)}, key=to_tuple) if levels else []
+    return [rows] + levels
 
 
 def _dual_groups(n: int, s0: int, levels: list[list[int]]) -> tuple[dict, dict]:
@@ -227,11 +305,9 @@ def _dual_groups(n: int, s0: int, levels: list[list[int]]) -> tuple[dict, dict]:
     torsion. Smith reduction runs from ∂_{s0-1} up; the rows of ∂_{s0-1}
     are the (s0 - 1)-sets that some face of size s0 holds, since the other
     rows are zero."""
-    rows = sorted({m & ~(1 << v) for m in levels[0] for v in bits(m)}, key=to_tuple) if levels else []
-    mats = [_boundary(below, cols) for below, cols in zip([rows] + levels, levels)]
     return _groups(
         [comb(n, s) for s in range(s0)] + [len(level) for level in levels],
-        [((), comb(n - 1, i)) for i in range(s0 - 1)] + [smith_normal_form(m) for m in mats],
+        [((), comb(n - 1, i)) for i in range(s0 - 1)] + _chain_snfs(_dual_faces(levels)),
     )
 
 

@@ -26,7 +26,9 @@ from cutcomplex.graphs import connected_ksets
 from cutcomplex.homology import (
     HomologyReport,
     _divisibility_chain,
+    _dual_faces,
     _dual_groups,
+    _primal_faces,
     _primal_groups,
     _shifted_groups,
 )
@@ -115,6 +117,17 @@ def _determinant_divisors(data):
     return divisors
 
 
+def _assert_matches_determinant_divisors(data):
+    diag, rank = smith_normal_form(matrix_from_rows(data))
+    divisors = _determinant_divisors(data)
+    assert rank == sum(1 for g in divisors if g)
+    prev = 1
+    for i, d in enumerate(diag):
+        want = divisors[i] // prev if prev and divisors[i] else 0
+        assert d == want
+        prev = divisors[i] if divisors[i] else prev
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=4), min_size=2, max_size=4).filter(
@@ -122,13 +135,25 @@ def _determinant_divisors(data):
     )
 )
 def test_snf_against_determinant_divisor_oracle(data):
-    diag, rank = smith_normal_form(matrix_from_rows(data))
-    divisors = _determinant_divisors(data)
-    prev = 1
-    for i, d in enumerate(diag):
-        want = divisors[i] // prev if prev and divisors[i] else 0
-        assert d == want
-        prev = divisors[i] if divisors[i] else prev
+    _assert_matches_determinant_divisors(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=1, max_size=5)))
+def test_snf_with_many_units_against_determinant_divisor_oracle(data):
+    # entries in -2..2 make most pivots units, so the unit phase does most of the work
+    _assert_matches_determinant_divisors(data)
+
+
+@pytest.mark.parametrize("data, diag", [([[1, 2], [2, 1]], (1, 3)), ([[1, 1], [1, -1]], (1, 2))])
+def test_snf_unit_pivot_leaves_fill_in_that_is_not_a_unit(data, diag):
+    assert smith_normal_form(matrix_from_rows(data)) == (diag, 2)
+
+
+def test_snf_skips_explicit_zero_entries():
+    # IntMatrix accepts a stored 0, which the least-|v| pivot must never pick
+    assert smith_normal_form(IntMatrix(2, 2, {(0, 0): 0, (0, 1): 2})) == ((2, 0), 1)
 
 
 def test_snf_escalates_on_big_entries():
@@ -275,6 +300,80 @@ def test_dual_and_primal_agree_on_rp2(ambient):
     assert _both_sides(rp2).torsion_at(1) == (2,)
     assert _both_sides(rp2.cone()).nonzero_dims() == []
     assert _both_sides(rp2.suspension()).torsion_at(2) == (2,)
+
+
+# -- clearing: each map loses the rows at the unit pivots of the map below --
+
+
+def _nonzero_diagonals(snfs):
+    return [(tuple(d for d in diag if d), rank) for diag, rank in snfs]
+
+
+def _assert_clearing_keeps_the_chain(faces):
+    """Chain reduction with clearing gives each map the rank and the
+    nonzero Smith diagonal of the full boundary map, torsion included."""
+    plain = [smith_normal_form(homology._boundary(rows, cols)) for rows, cols in zip(faces, faces[1:])]
+    cleared = homology._chain_snfs(faces)
+    assert _nonzero_diagonals(cleared) == _nonzero_diagonals(plain)
+    return cleared
+
+
+@st.composite
+def complexes_on_at_most_8_vertices(draw):
+    n = draw(st.integers(1, 8))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=8))
+    return from_facets([tuple(sorted(f)) for f in facets], ambient=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(complexes_on_at_most_8_vertices())
+def test_clearing_keeps_the_chain_of_a_complex_and_its_dual(cx):
+    _assert_clearing_keeps_the_chain(_primal_faces(cx))
+    n = cx._support.bit_count()
+    if n - 1 - cx.dim > 0:  # else the dual over the support is void
+        _assert_clearing_keeps_the_chain(_dual_faces(cx._walk_dual(cx._support, 1 << n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_clearing_keeps_the_chain_of_a_cut_complex_and_its_dual(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for k in range(1, n + 1):
+        cx = cut_complex(g, k)
+        if cx.is_void:
+            continue
+        _assert_clearing_keeps_the_chain(_primal_faces(cx))
+        levels = _walk_levels(connected_ksets(g, k), 1 << g.n, ())
+        if levels:
+            _assert_clearing_keeps_the_chain(_dual_faces(levels))
+
+
+@pytest.mark.parametrize("case", ["rp2", "suspension", "realized"])
+def test_clearing_keeps_the_torsion_of_rp2(case, monkeypatch):
+    cx = from_facets(RP2_FACETS)
+    if case == "suspension":
+        cx = cx.suspension()
+    if case == "realized":
+        g, k = realize_as_cut_complex(cx)
+        cx = cut_complex(g, k)
+        levels = _walk_levels(connected_ksets(g, k), 1 << g.n, ())
+    else:
+        levels = cx._walk_dual(cx._support, 1 << cx._support.bit_count())
+    real = homology.smith_normal_form
+    reduced_rows = []
+
+    def recording(m, units=None):
+        reduced_rows.append(m.nrows)
+        return real(m, units)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    for faces in (_primal_faces(cx), _dual_faces(levels)):
+        reduced_rows.clear()
+        cleared = _assert_clearing_keeps_the_chain(faces)
+        assert [d for diag, _ in cleared for d in diag if d > 1] == [2]
+        # every map still goes through smith_normal_form; all above the first lose rows
+        assert len(reduced_rows) == len(faces) - 1
+        assert all(r < len(f) for r, f in zip(reduced_rows[1:], faces[1:]))
 
 
 def test_side_picker_on_the_empty_face_complex():
