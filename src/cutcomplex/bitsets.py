@@ -8,7 +8,9 @@ single-word desk scale and anything larger.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import compress, repeat
+from operator import itemgetter, or_
 from typing import Iterable, Iterator
 
 
@@ -39,14 +41,16 @@ def bits(mask: int) -> Iterator[int]:
 _BYTE_BITS: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
-def _grown(table: dict, mask: int) -> dict:
-    """A copy of ``table`` with a row for every byte offset that holds a set
-    bit of ``mask``."""
+def _grown(table: dict, offsets: Iterable[int], empty=(), unit=lambda v: (v,)) -> dict:
+    """A copy of ``table`` with a row for every byte offset of ``offsets``:
+    entry b of row i joins ``unit(v)`` for the set bits v = 8i + j of byte
+    value b, in increasing order, onto ``empty``."""
     rows = dict(table)
-    for i in {v >> 3 for v in bits(mask)} - rows.keys():
-        row = [()]
+    for i in set(offsets) - rows.keys():
+        row = [empty]
         for v in range(8 * i, 8 * i + 8):  # the values with bit v set follow those without
-            row += [t + (v,) for t in row]
+            tail = unit(v)
+            row += [t + tail for t in row]
         rows[i] = tuple(row)
     return rows
 
@@ -69,9 +73,56 @@ def to_tuple(mask: int) -> tuple[int, ...]:
                 rest >>= skip << 3
                 i += skip
     except KeyError:  # a byte offset without its row yet
-        _BYTE_BITS = _grown(_BYTE_BITS, mask)
+        _BYTE_BITS = _grown(_BYTE_BITS, {v >> 3 for v in bits(mask)})
         return to_tuple(mask)
     return out
+
+
+# _BYTE_TEXT[i][b]: the set bit positions of byte value b at byte offset i,
+# each written ", v", so that a mask's JSON text joins one entry per byte.
+# Rows are built for the byte offsets in use and swapped in as _BYTE_BITS's
+# are; row 0 is built at import and is the same tuple from then on.
+_BYTE_TEXT: dict[int, tuple[str, ...]] = _grown({}, [0], "", ", {}".format)
+_LOW_TEXT = _BYTE_TEXT[0]
+_NO_SEPARATOR = itemgetter(slice(2, None))  # a face's text without its leading ", "
+# masks_json writes this many masks per run, so that no list holds a string
+# per mask of a large record
+_TEXT_RUN = 1024
+
+
+def vertex_texts(masks: list[int] | tuple[int, ...]) -> Iterator[str]:
+    """The vertices of each mask as JSON writes them between a list's
+    brackets, such as "0, 3, 9", and "" for the empty mask.
+
+    The masks are written as one buffer of equal-width little-endian bytes,
+    and the column of byte offset i, one byte per mask, is looked up in row
+    i of ``_BYTE_TEXT`` by one ``itemgetter`` call: only the offsets where
+    some mask has a set bit have a column (offset 0 always does), and a
+    mask's text joins its entries in these columns. No vertex tuple is made,
+    and the work per mask runs in C."""
+    global _BYTE_TEXT
+    if not masks:
+        return iter(())
+    union = reduce(or_, masks)
+    width = (union.bit_length() + 7) >> 3 or 1
+    used = [0, *compress(range(1, width), union.to_bytes(width, "little")[1:])]
+    if not _BYTE_TEXT.keys() >= set(used):
+        _BYTE_TEXT = _grown(_BYTE_TEXT, used, "", ", {}".format)
+    rows = _BYTE_TEXT
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    columns = [itemgetter(*data[i::width])(rows[i]) for i in used]
+    if len(masks) == 1:  # an itemgetter of one index returns the entry, not a tuple
+        columns = [[entry] for entry in columns]
+    return map(_NO_SEPARATOR, map("".join, zip(*columns)))
+
+
+def masks_json(masks: list[int] | tuple[int, ...]) -> str:
+    """The masks as JSON text: ``json.dumps([list(to_tuple(m)) for m in
+    masks])``, written from ``vertex_texts``."""
+    if not masks:
+        return "[]"
+    runs = range(0, len(masks), _TEXT_RUN)
+    return "[[" + "], [".join(["], [".join(vertex_texts(masks[i:i + _TEXT_RUN])) for i in runs]) + "]]"
 
 
 # Families of masks below a width w as bitmaps: one int whose bit m is set iff
@@ -79,7 +130,7 @@ def to_tuple(mask: int) -> tuple[int, ...]:
 # read as the base-2 numeral of those bytes, highest mask first; both steps
 # run in C, with no Python step per mask.
 _NONZERO_DIGITS = b"0" + b"1" * 255  # bytes.translate table: byte value -> digit
-_LOW_BITS = _grown({}, 255)[0]  # the set bit positions of each byte value
+_LOW_BITS = _grown({}, [0])[0]  # the set bit positions of each byte value
 _DECREMENT = bytes([0, *range(255)])  # bytes.translate table: byte value x -> max(x - 1, 0)
 
 

@@ -17,7 +17,7 @@ import signal
 import sys
 from math import comb
 
-from .bitsets import mask_of, to_tuple
+from .bitsets import mask_of, masks_json, to_tuple
 from .complexes import SimplicialComplex, relabel_densely
 from .cuts import (
     NotCoveredError,
@@ -118,7 +118,6 @@ def cmd_build(args) -> int:
         "graph": args.graph,
         "n": g.n,
         "k": args.k,
-        "complex": cx.to_json_obj(),
         "facet_count": len(cx.facets),
         # every k-set is either connected or the complement of a facet
         "connected_kset_count": comb(g.n, args.k) - len(cx.facets),
@@ -142,7 +141,19 @@ def cmd_build(args) -> int:
     ok = not holds or mu_formula == report["mu"]
     if holds:
         lines.append(f"census formula {'agrees' if ok else 'MISMATCH'}: mu = {mu_formula}")
-    _emit(report, args.json, lines)
+    if args.json:  # the facet list is only printed in the JSON record, written as text
+        texts = {key: json.dumps(value, sort_keys=True) for key, value in report.items()}
+        # "\0" marks where the facet text goes, as in cmd_morse, so that text
+        # is written as it is, not copied into the record first
+        texts["complex"] = '{"state": "void"}' if cx.is_void else _json_record(
+            {"ambient": json.dumps(cx.ambient), "facets": "\0"})
+        head, _, tail = _json_record(texts).partition("\0")
+        sys.stdout.write(head)
+        if not cx.is_void:
+            sys.stdout.write(masks_json(cx.facets))
+        sys.stdout.write(tail + "\n")
+    else:
+        print("\n".join(lines))
     return 0 if ok else MISMATCH
 
 

@@ -35,7 +35,9 @@ them from a list of the 2^(n-8) high texts built by doubling. Few templates serv
 for the 270 non-empty chunks of the tree matching on Δ₂(P₁₆), 224 for the
 4,851 of the prism matching on Δ₄(prism₁₀). The pair whose lower face has
 low byte 0 is written on its own, so no text starts with a ", " to strip.
-Pairs given as pairs are written as given.
+Pairs given as pairs are written as given, each face's text from
+``bitsets.vertex_texts``; row 0 of the table of vertex texts that it reads
+also fills the templates.
 
 Acyclicity is never assumed, since ``verify_acyclic_and_critical`` also
 certifies matchings it did not build: it runs cycle detection on the Hasse
@@ -59,13 +61,11 @@ from itertools import chain
 from operator import gt, itemgetter, or_, xor
 from typing import Iterable
 
-from .bitsets import bitmap_masks, bits, bytes_bitmap, lacking, mask_bytes, to_tuple
+from .bitsets import _LOW_TEXT, bitmap_masks, bits, bytes_bitmap, lacking, mask_bytes, vertex_texts
 from .complexes import SimplicialComplex
 from .cuts import cut_complex
 from .graphs import Graph, from_edge_list, has_triangle
 
-# _LOW_TEXT[b]: the set bit positions of byte value b, each written ", v"
-_LOW_TEXT = tuple("".join(f", {v}" for v in bits(b)) for b in range(256))
 # Pairs given as pairs are written in runs of this many, tens of kilobytes of
 # text each, so only the whole record is a large block.
 _TEXT_RUN = 1024
@@ -76,22 +76,11 @@ _CHUNK = 32
 _S_HIGH, _T_HIGH = "\0", "\1"
 
 
-class _HighText(dict):
-    """h -> the vertices from 8 up of any face s with s >> 8 == h, each written
-    ", v"; an entry is built on first lookup."""
-
-    def __missing__(self, h: int) -> str:
-        text = self[h] = "".join([f", {v}" for v in to_tuple(h << 8)])
-        return text
-
-
-def _pairs_text(pairs: Iterable[tuple[int, int]], low: tuple[str, ...], high: _HighText) -> str:
+def _pairs_text(pairs: Iterable[tuple[int, int]]) -> str:
     """The pairs (s, t) as the JSON text of [vertices of s, vertices of t]
-    per pair, joined by ", ". Each face's text is its low byte's from the
-    table ``low`` and the rest's from the memo ``high``, ", "-prefixed."""
-    return ", ".join([
-        f"[[{(low[s & 255] + high[s >> 8])[2:]}], [{(low[t & 255] + high[t >> 8])[2:]}]]" for s, t in pairs
-    ])
+    per pair, joined by ", ", from the faces' texts of ``vertex_texts``."""
+    faces = vertex_texts(list(chain.from_iterable(pairs)))
+    return "[[" + "]], [[".join(map("], [".join, zip(faces, faces))) + "]]"
 
 
 def _chunk_template(chunk: bytes, a: int) -> str:
@@ -247,9 +236,7 @@ class MorseMatching:
         if self._staged:
             texts = _stages_texts(*self._stages)
         else:
-            high = _HighText()
-            runs = range(0, len(self.pairs), _TEXT_RUN)
-            texts = [_pairs_text(self.pairs[i:i + _TEXT_RUN], _LOW_TEXT, high) for i in runs]
+            texts = [_pairs_text(self.pairs[i:i + _TEXT_RUN]) for i in range(0, len(self.pairs), _TEXT_RUN)]
         parts = [", "] * max(2 * len(texts) - 1, 0)
         parts[::2] = texts
         return ["[", *parts, "]"]

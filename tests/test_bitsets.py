@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,32 @@ def test_to_tuple_on_kneser_neighbourhoods():
 @given(st.integers(0, (1 << 300) - 1))
 def test_to_tuple_matches_bits(m):
     assert to_tuple(m) == tuple(bits(m))
+
+
+# masks for the JSON writer: the empty mask, masks whose set bytes have zero
+# bytes between them, and vertices up to 1,000
+_json_masks = st.one_of(
+    st.just(0),
+    st.integers(0, (1 << 24) - 1),
+    st.sets(st.sampled_from([0, 7, 8, 15, 16, 63, 64, 200, 255, 256, 511, 999, 1_000])).map(mask_of),
+    st.sets(st.integers(0, 1_000), max_size=40).map(mask_of),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_json_masks, max_size=12))
+def test_masks_json_is_the_json_dumps_bytes(masks):
+    assert bitsets.masks_json(masks) == json.dumps([list(to_tuple(m)) for m in masks])
+    assert bitsets.masks_json(tuple(masks)) == json.dumps([list(bits(m)) for m in masks])
+
+
+def test_masks_json_builds_rows_only_for_used_byte_offsets(monkeypatch):
+    monkeypatch.setattr(bitsets, "_BYTE_TEXT", {})  # start from an empty table
+    masks = [0, 1 << 1_000, (1 << 20_003) | (1 << 9), 1 << 20_007]
+    assert bitsets.masks_json(masks) == "[[], [1000], [9, 20003], [20007]]"
+    # offset 0 always has a column; then 1, 125 and 2,500 of the 2,501 up to bit 20,007
+    assert sorted(bitsets._BYTE_TEXT) == [0, 1, 125, 2_500]
+    assert bitsets.masks_json([]) == "[]" and bitsets.masks_json([0]) == "[[]]"
 
 
 @settings(max_examples=300, deadline=None)

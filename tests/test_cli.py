@@ -221,6 +221,40 @@ def test_build_of_the_smallest_path_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("cycle:65", "2"),  # wide supports: 65 and 71 vertices
+    ("star:70", "2"),
+    ("path:3", "2"),  # the facets are listed at once
+    ("complete:5", "2"),  # void
+    ("k20.txt", "5"),  # vertex 20 is in no facet
+])
+def test_build_record_is_the_json_dumps_bytes(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+    (tmp_path / "k20.txt").write_text(f"21 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    spec, k = argv
+    code, out, _ = run(capsys, "build", spec, "--k", k, "--json")
+    record = json.loads(out)
+    assert code == 0 and out == json.dumps(record, sort_keys=True) + "\n"
+    g = family(spec) if ":" in spec else cutcomplex.read_graph_text((tmp_path / spec).read_text())
+    cx = cut_complex(g, int(k))
+    assert record["complex"] == cx.to_json_obj() and record["facet_count"] == len(cx.facets)
+
+
+def test_build_never_calls_to_json_obj(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the complex was built as nested lists")
+
+    monkeypatch.setattr(SimplicialComplex, "to_json_obj", refuse)
+    # listed facets, facets read off the dual, and the void complex, in both modes
+    for spec, k, count in (("path:3", "2", 1), ("path:22", "6", 74596), ("complete:5", "2", 0)):
+        code, out, _ = run(capsys, "build", spec, "--k", k)
+        assert code == 0 and out.startswith(f"graph: {spec} ")
+        code, out, _ = run(capsys, "build", spec, "--k", k, "--json")
+        record = json.loads(out)
+        assert code == 0 and record["facet_count"] == count == len(record["complex"].get("facets", []))
+
+
 def test_build_reports_a_census_formula_mismatch(monkeypatch, capsys):
     import cutcomplex.cli as cli
 

@@ -407,14 +407,14 @@ _WIDE_FACES = [
 
 
 def test_pair_record_text_of_wide_and_sparse_faces(monkeypatch):
-    monkeypatch.setattr(bitsets, "_BYTE_BITS", {})  # start from an empty bit table
+    monkeypatch.setattr(bitsets, "_BYTE_TEXT", {})  # start from an empty text table
     sparse = [(1 << 1_000_000) | 1, 1 << 20_003]
     faces = _WIDE_FACES + sparse
     pairs = tuple(zip(faces, faces[::-1]))
     text = MorseMatching(from_facets([]), pairs).pairs_json()
-    # the text of a face's vertices from 8 up reads bit rows only for the byte
-    # offsets in use: 1-27 of the 220 bits, then 2,500 and 125,000
-    assert sorted(bitsets._BYTE_BITS) == list(range(1, 28)) + [2_500, 125_000]
+    # the faces' texts read rows only for the byte offsets in use: 0-27 of
+    # the 220 bits, then 2,500 and 125,000
+    assert sorted(bitsets._BYTE_TEXT) == list(range(28)) + [2_500, 125_000]
     assert text == _dumped(pairs)
 
 
