@@ -7,17 +7,21 @@ meets F_j in exactly |F_j| - 1 vertices with F_i ∩ F_j inside F_k ∩ F_j.
 a homology obstruction, a proof-of-exhaustion, or a budget-exceeded marker.
 
 ``find_shelling`` tries three things in turn. First, the ascending facet
-order, which is often already a shelling. Second, a homology obstruction: a
-shellable pure d-complex is homotopy equivalent to a wedge of d-spheres
-(Björner, "Topological methods", Handbook of Combinatorics 1995), so a
-nonzero H̃_i with i < d, or any torsion, proves it is not shellable. Only if
-the homology is clean does the search run.
+order, which is often already a shelling, decided by an h-vector count: one
+pass over the facets with a set of the ridges seen so far sums 2^(|F_j| -
+|R_j|), and the order is a shelling iff the sum is the face count, read off
+the memoized f-vector. Second, a homology obstruction: a shellable pure
+d-complex is homotopy equivalent to a wedge of d-spheres (Björner,
+"Topological methods", Handbook of Combinatorics 1995), so a nonzero H̃_i
+with i < d, or any torsion, proves it is not shellable. Only if the homology
+is clean does the search run.
 
 The search decides a candidate F_j by its restriction set against the placed
 prefix P (Björner 1995): R = {v in F_j : the ridge F_j - v lies in a facet of
-P}, and F_j may follow P iff no facet of P contains R. So no table over facet
-pairs is built. The search loops over an explicit stack, so it never meets
-the recursion limit.
+P}, and F_j may follow P iff no facet of P contains R. Its restriction rows,
+t-bit masks of the facets per ridge and per vertex, are built only when the
+search runs; no table over facet pairs is built. The search loops over an
+explicit stack, so it never meets the recursion limit.
 
 Key soundness point: whether an order can be extended depends only on the
 *set* of facets placed so far, so failed prefix sets are memoized. A "not
@@ -103,6 +107,23 @@ def _restriction_rows(facets) -> list:
     return [[(sharers[f ^ 1 << v], holders[v]) for v in bits(f)] for f in facets]
 
 
+def _interval_count(facets) -> int:
+    """The sum of 2^(|F_j| - |R_j|) over the facets in the given order, R_j
+    being F_j's restriction set against the facets before it.
+
+    Each face is new in the first facet that holds it, and F_j's new faces
+    lie in the interval [R_j, F_j], all of it new iff no earlier facet holds
+    R_j. So the sum is at least the face count, the empty face included,
+    with equality iff the order is a shelling: h_i = #{j : |R_j| = i}."""
+    seen: set[int] = set()  # ridges of the facets so far
+    total = 0
+    for f in facets:
+        before = len(seen)
+        seen.update([f ^ 1 << v for v in to_tuple(f)])
+        total += 1 << len(seen) - before  # |F_j| - |R_j|: the ridges of F_j not seen before
+    return total
+
+
 def _blocked(row, prefix: int) -> int:
     """Bitmask of the facets of ``prefix`` that contain R, given F_j's ``_restriction_rows`` row."""
     # F_i ∩ F_j lies in the ridge F_j - v iff v ∉ F_i, so F_i has a witness in
@@ -132,10 +153,11 @@ def _homology_obstruction(cx: SimplicialComplex, rep: HomologyReport | None = No
 def find_shelling(
     cx: SimplicialComplex, budget: int = DEFAULT_BUDGET, homology: HomologyReport | None = None
 ) -> ShellingCertificate:
-    """Shell ``cx`` by the ascending facet order if it is one; otherwise
-    return ``not_shellable`` with a homology obstruction and 0 nodes if one
-    exists (Björner 1995); otherwise search facet prefixes depth first by the
-    restriction-set test, within ``budget`` nodes.
+    """Shell ``cx`` by the ascending facet order if the h-vector count shows
+    it is one; otherwise return ``not_shellable`` with a homology obstruction
+    and 0 nodes if one exists (Björner 1995); otherwise build the restriction
+    rows and search facet prefixes depth first by the restriction-set test,
+    within ``budget`` nodes.
 
     ``homology`` is ``reduced_homology(cx)`` when the caller already has it;
     without it the homology is computed only if the ascending order fails."""
@@ -146,14 +168,12 @@ def find_shelling(
     if not cx.is_pure:
         raise ValueError("shelling search requires a pure complex")
     facets = cx.facets
-    rows = _restriction_rows(facets)
-    # cheap first attempt: ascending-mask order is often already a shelling
-    if not any(_blocked(row, (1 << j) - 1) for j, row in enumerate(rows)):
+    if _interval_count(facets) == sum(cx.f_vector()):
         return ShellingCertificate("shellable", tuple(to_tuple(f) for f in facets), 0)
     obstruction = _homology_obstruction(cx, homology)
     if obstruction is not None:
         return ShellingCertificate("not_shellable", None, 0, obstruction=obstruction)
-    return _search(facets, rows, budget)
+    return _search(facets, _restriction_rows(facets), budget)
 
 
 def _search(facets, rows, budget: int) -> ShellingCertificate:

@@ -20,7 +20,7 @@ from cutcomplex import (
     wedge,
 )
 from cutcomplex.shelling import (
-    Obstruction, ShellingCertificate, _blocked, _homology_obstruction, _restriction_rows, _search,
+    Obstruction, ShellingCertificate, _blocked, _homology_obstruction, _interval_count, _restriction_rows, _search,
 )
 from conftest import RP2_FACETS, random_chordal, random_graph
 
@@ -284,6 +284,36 @@ def test_restriction_set_edge_cases():
     assert find_shelling(from_facets(facets)).nodes == 0
 
 
+# -- the h-vector count against the pairwise criterion -----------------------
+
+
+@st.composite
+def pure_complexes_and_orders(draw):
+    n = draw(st.integers(0, 7))
+    size = draw(st.integers(0, n))
+    vertex = st.integers(0, max(n - 1, 0))
+    faces = draw(st.lists(st.sets(vertex, min_size=size, max_size=size), min_size=1, max_size=14))
+    cx = from_facets([tuple(f) for f in faces])
+    return cx, draw(st.permutations(cx.facets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pure_complexes_and_orders())
+@example((from_facets([()]), [0]))  # {∅}, one facet with no vertex
+@example((from_facets([(0, 1, 2)]), [0b111]))
+@example((from_facets([(0,), (1,), (2,)]), [0b100, 0b1, 0b10]))  # points
+@example((BOWTIE, list(BOWTIE.facets)))
+@example((from_facets([(0, 1), (2, 3)]), [0b11, 0b1100]))  # R = ∅ for the second edge
+def test_interval_count_matches_pairwise_criterion(case):
+    cx, order = case
+    shells = _interval_count(order) == sum(cx.f_vector())
+    assert shells == verify_shelling_order(cx, order)[0]
+    rows = _restriction_rows(order)
+    assert shells == (not any(_blocked(row, (1 << j) - 1) for j, row in enumerate(rows)))
+    # each face is new in exactly one facet, and its interval holds the new faces
+    assert _interval_count(order) >= sum(cx.f_vector())
+
+
 # -- the homology obstruction against the search -----------------------------
 
 
@@ -339,3 +369,30 @@ def test_shortcut_shellings_never_compute_homology(monkeypatch):
     cert = find_shelling(cx)
     assert cert.verdict == "shellable" and cert.nodes == 0
     assert verify_shelling_order(cx, cert.order)[0]
+
+
+def test_restriction_rows_are_built_only_for_the_search(monkeypatch):
+    import cutcomplex.shelling as shelling
+
+    def fail(facets):
+        raise AssertionError("_restriction_rows called")
+
+    monkeypatch.setattr(shelling, "_restriction_rows", fail)
+    for spec, k in (("cycle:11", 5), ("cycle:9", 3), ("path:10", 3), ("cycle:7", 3)):
+        cert = find_shelling(cut_complex(family(spec), k))
+        assert cert.verdict == "shellable" and cert.nodes == 0
+    for spec, k in (("prism:4", 3), ("cycle:8", 2)):
+        cert = find_shelling(cut_complex(family(spec), k))
+        assert cert.verdict == "not_shellable" and cert.obstruction is not None
+
+    calls = []
+
+    def counting(facets):
+        calls.append(len(facets))
+        return _restriction_rows(facets)
+
+    monkeypatch.setattr(shelling, "_restriction_rows", counting)
+    cx = cut_complex(family("squared_cycle:9"), 3)
+    cert = find_shelling(cx)
+    assert cert.verdict == "shellable" and cert.nodes > 0
+    assert calls == [len(cx.facets)]
