@@ -116,6 +116,26 @@ def vertex_texts(masks: list[int] | tuple[int, ...]) -> Iterator[str]:
     return map(_NO_SEPARATOR, map("".join, zip(*columns)))
 
 
+# _BIT_DIGITS[i]: a bytes.translate table from byte value to the digit of its bit i
+_BIT_DIGITS = [bytes(b"01"[b >> i & 1] for b in range(256)) for i in range(8)]
+
+
+def vertex_holders(masks: list[int] | tuple[int, ...]) -> dict[int, int]:
+    """For each vertex of some mask, the int whose bit j is set iff
+    ``masks[j]`` holds that vertex.
+
+    The masks are written as one buffer of equal-width little-endian bytes,
+    as ``vertex_texts`` writes them, and the column of a vertex's byte
+    offset is read through ``_BIT_DIGITS`` as a base-2 numeral, last mask
+    first, so the work per mask runs in C."""
+    if not masks:
+        return {}
+    union = reduce(or_, masks)
+    width = (union.bit_length() + 7) >> 3 or 1
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    return {v: int(data[v >> 3::width].translate(_BIT_DIGITS[v & 7])[::-1], 2) for v in to_tuple(union)}
+
+
 def masks_json(masks: list[int] | tuple[int, ...]) -> str:
     """The masks as JSON text: ``json.dumps([list(to_tuple(m)) for m in
     masks])``, written from ``vertex_texts``."""

@@ -330,22 +330,19 @@ class SimplicialComplex:
         of size s is a face iff its complement is not a dual face, so
         f_{s-1}(Δ) = C(n, s) - #{dual faces of size n - s} over the n-vertex
         support (Björner and Tancer, DCG 2009). The dual holds all C(n, s)
-        sets of each size s below s0 and the listed ones above. The simplex
-        on its support (s0 = 0) has a void dual, so f_{s-1} = C(n, s). Without
-        a smaller dual the faces are counted directly."""
+        sets of each size s below s0 and the listed ones above. Without a
+        smaller dual the faces are counted directly."""
         if self.is_void:
             raise ValueError("the void complex has no f-vector")
         if self._fvec is None:
             size = self.dim + 2
-            n = self._support.bit_count()
             dual = self._dual_levels()
-            if dual is None and size == n + 1:
-                dual = (0, [])  # the simplex on the support, whose dual is void
             if dual is None:
                 counts = [0] * size
                 for m in self.face_set():
                     counts[m.bit_count()] += 1
             else:
+                n = self._support.bit_count()
                 s0, levels = dual
                 co = [comb(n, s) for s in range(s0)] + [len(level) for level in levels]
                 co += [0] * (n + 1 - len(co))

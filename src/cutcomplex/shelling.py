@@ -7,14 +7,13 @@ meets F_j in exactly |F_j| - 1 vertices with F_i ∩ F_j inside F_k ∩ F_j.
 a homology obstruction, a proof-of-exhaustion, or a budget-exceeded marker.
 
 ``find_shelling`` tries three things in turn. First, the ascending facet
-order, which is often already a shelling, decided by an h-vector count: one
-pass over the facets with a set of the ridges seen so far sums 2^(|F_j| -
-|R_j|), and the order is a shelling iff the sum is the face count, read off
-the memoized f-vector. Second, a homology obstruction: a shellable pure
-d-complex is homotopy equivalent to a wedge of d-spheres (Björner,
-"Topological methods", Handbook of Combinatorics 1995), so a nonzero H̃_i
-with i < d, or any torsion, proves it is not shellable. Only if the homology
-is clean does the search run.
+order, which is often already a shelling, decided in one pass over the
+facets: the ridges seen so far give each restriction set, and only a facet
+with two or more new ridges has it tested against the facets before it.
+Second, a homology obstruction: a shellable pure d-complex is homotopy
+equivalent to a wedge of d-spheres (Björner, "Topological methods", Handbook
+of Combinatorics 1995), so a nonzero H̃_i with i < d, or any torsion, proves
+it is not shellable. Only if the homology is clean does the search run.
 
 The search decides a candidate F_j by its restriction set against the placed
 prefix P (Björner 1995): R = {v in F_j : the ridge F_j - v lies in a facet of
@@ -35,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bitsets import bits, mask_of, to_tuple
+from .bitsets import bits, mask_of, to_tuple, vertex_holders
 from .complexes import SimplicialComplex
 from .graphs import family
 from .cuts import cut_complex
@@ -99,29 +98,41 @@ def verify_shelling_order(cx: SimplicialComplex, order) -> tuple[bool, tuple[int
 
 def _restriction_rows(facets) -> list:
     """Per facet F_j, a pair (facets containing F_j - v, facets containing v) per v in F_j."""
-    sharers, holders = {}, {}  # ridge, vertex -> bitmask of the facets containing it
+    sharers = {}  # ridge -> bitmask of the facets containing it
     for j, f in enumerate(facets):
         for v in bits(f):
             sharers[f ^ 1 << v] = sharers.get(f ^ 1 << v, 0) | 1 << j
-            holders[v] = holders.get(v, 0) | 1 << j
+    holders = vertex_holders(facets)
     return [[(sharers[f ^ 1 << v], holders[v]) for v in bits(f)] for f in facets]
 
 
-def _interval_count(facets) -> int:
-    """The sum of 2^(|F_j| - |R_j|) over the facets in the given order, R_j
-    being F_j's restriction set against the facets before it.
+def _shells(facets) -> bool:
+    """Whether the facets, in the given order, are a shelling: no facet
+    before F_j holds its restriction set R_j, for every j (Björner 1995).
 
-    Each face is new in the first facet that holds it, and F_j's new faces
-    lie in the interval [R_j, F_j], all of it new iff no earlier facet holds
-    R_j. So the sum is at least the face count, the empty face included,
-    with equality iff the order is a shelling: h_i = #{j : |R_j| = i}."""
+    One pass keeps the set of ridges seen so far; R_j is the set of v in
+    F_j whose ridge F_j - v was seen. When at most one ridge of F_j is new,
+    R_j is F_j or that new ridge, which no earlier facet holds, so only
+    facets with two or more new ridges are tested: the facets holding each
+    vertex of R_j, from ``vertex_holders``, are intersected until none
+    before F_j is left. So the cost follows the facets, not the faces: n
+    ints of t bits and at most |R_j| ANDs per facet."""
     seen: set[int] = set()  # ridges of the facets so far
-    total = 0
-    for f in facets:
-        before = len(seen)
-        seen.update([f ^ 1 << v for v in to_tuple(f)])
-        total += 1 << len(seen) - before  # |F_j| - |R_j|: the ridges of F_j not seen before
-    return total
+    holders = vertex_holders(facets)
+    for j, f in enumerate(facets):
+        ridges = {f ^ 1 << v for v in to_tuple(f)}
+        new = ridges - seen
+        seen |= new
+        if len(new) < 2:
+            continue
+        common = (1 << j) - 1  # the facets before F_j that hold R_j
+        for r in ridges - new:  # F_j - v for the v in R_j
+            common &= holders[(f ^ r).bit_length() - 1]
+            if not common:
+                break
+        if common:
+            return False
+    return True
 
 
 def _blocked(row, prefix: int) -> int:
@@ -153,11 +164,11 @@ def _homology_obstruction(cx: SimplicialComplex, rep: HomologyReport | None = No
 def find_shelling(
     cx: SimplicialComplex, budget: int = DEFAULT_BUDGET, homology: HomologyReport | None = None
 ) -> ShellingCertificate:
-    """Shell ``cx`` by the ascending facet order if the h-vector count shows
-    it is one; otherwise return ``not_shellable`` with a homology obstruction
-    and 0 nodes if one exists (Björner 1995); otherwise build the restriction
-    rows and search facet prefixes depth first by the restriction-set test,
-    within ``budget`` nodes.
+    """Shell ``cx`` by the ascending facet order if ``_shells`` accepts it;
+    otherwise return ``not_shellable`` with a homology obstruction and 0
+    nodes if one exists (Björner 1995); otherwise build the restriction rows
+    and search facet prefixes depth first by the restriction-set test, within
+    ``budget`` nodes.
 
     ``homology`` is ``reduced_homology(cx)`` when the caller already has it;
     without it the homology is computed only if the ascending order fails."""
@@ -168,7 +179,7 @@ def find_shelling(
     if not cx.is_pure:
         raise ValueError("shelling search requires a pure complex")
     facets = cx.facets
-    if _interval_count(facets) == sum(cx.f_vector()):
+    if _shells(facets):
         return ShellingCertificate("shellable", tuple(to_tuple(f) for f in facets), 0)
     obstruction = _homology_obstruction(cx, homology)
     if obstruction is not None:

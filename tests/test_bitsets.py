@@ -100,6 +100,17 @@ def test_bitmaps_match_their_masks(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(WIDE_MASKS) | st.integers(0, (1 << 20) - 1), max_size=40))
+def test_vertex_holders_transpose_the_masks(masks):
+    holders = bitsets.vertex_holders(masks)
+    want = {}
+    for j, m in enumerate(masks):
+        for v in bits(m):
+            want[v] = want.get(v, 0) | 1 << j
+    assert holders == want
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, n), st.lists(st.integers(0, (1 << n) - 1)))))
 def test_small_masks_match_their_sizes(case):

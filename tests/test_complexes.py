@@ -79,18 +79,6 @@ def test_f_vector_examples():
         from_facets([]).f_vector()
 
 
-def test_f_vector_of_a_simplex_is_binomial_without_listing_faces(monkeypatch):
-    def fail(mask):
-        raise AssertionError("faces listed")
-
-    # one facet of 40 vertices, with vertex 0 in no facet: 2^40 faces, none listed
-    monkeypatch.setattr("cutcomplex.complexes.submasks", fail)
-    cx = from_facets([range(1, 41)], ambient=42)
-    assert cx.f_vector() == tuple(comb(40, s) for s in range(41))
-    assert cx._faces is None and cx._dual_levels() is None
-    assert cx.reduced_euler() == 0
-
-
 def test_link_star_deletion_conventions():
     cx = cut_complex(family("cycle:5"), 2)
     assert cx.link(0) == cx  # mask 0 is the empty face

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from cutcomplex import (
     wedge,
 )
 from cutcomplex.shelling import (
-    Obstruction, ShellingCertificate, _blocked, _homology_obstruction, _interval_count, _restriction_rows, _search,
+    Obstruction, ShellingCertificate, _blocked, _homology_obstruction, _restriction_rows, _search, _shells,
 )
 from conftest import RP2_FACETS, random_chordal, random_graph
 
@@ -284,7 +285,7 @@ def test_restriction_set_edge_cases():
     assert find_shelling(from_facets(facets)).nodes == 0
 
 
-# -- the h-vector count against the pairwise criterion -----------------------
+# -- the one-pass ascending-order test against the pairwise criterion --------
 
 
 @st.composite
@@ -304,14 +305,30 @@ def pure_complexes_and_orders(draw):
 @example((from_facets([(0,), (1,), (2,)]), [0b100, 0b1, 0b10]))  # points
 @example((BOWTIE, list(BOWTIE.facets)))
 @example((from_facets([(0, 1), (2, 3)]), [0b11, 0b1100]))  # R = ∅ for the second edge
-def test_interval_count_matches_pairwise_criterion(case):
+def test_one_pass_test_matches_pairwise_criterion(case):
     cx, order = case
-    shells = _interval_count(order) == sum(cx.f_vector())
+    shells = _shells(order)
     assert shells == verify_shelling_order(cx, order)[0]
     rows = _restriction_rows(order)
     assert shells == (not any(_blocked(row, (1 << j) - 1) for j, row in enumerate(rows)))
-    # each face is new in exactly one facet, and its interval holds the new faces
-    assert _interval_count(order) >= sum(cx.f_vector())
+
+
+def test_two_large_facets_shell_without_listing_faces(monkeypatch):
+    def fail(*args):
+        raise AssertionError("faces listed")
+
+    # K_30 minus the edges 01 and 02 at k = 2: two 28-vertex facets sharing a
+    # ridge, with 2^28 + 2^27 faces and an Alexander dual as large
+    monkeypatch.setattr("cutcomplex.complexes.submasks", fail)
+    monkeypatch.setattr("cutcomplex.shelling._restriction_rows", fail)
+    g = from_edge_list(30, [e for e in combinations(range(30), 2) if e not in ((0, 1), (0, 2))])
+    cx = cut_complex(g, 2)
+    assert len(cx.facets) == 2
+    start = time.perf_counter()
+    cert = find_shelling(cx)
+    assert time.perf_counter() - start < 1.0
+    assert cert.verdict == "shellable" and cert.nodes == 0
+    assert cert.order == ((1, *range(3, 30)), tuple(range(2, 30)))
 
 
 # -- the homology obstruction against the search -----------------------------
