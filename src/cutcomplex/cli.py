@@ -21,8 +21,8 @@ from .bitsets import mask_of, masks_json, to_tuple
 from .complexes import SimplicialComplex, relabel_densely
 from .cuts import (
     NotCoveredError,
+    _closed_form,
     cut_complex,
-    predicted_betti,
     realize_as_cut_complex,
     skeleton_condition_euler,
 )
@@ -53,22 +53,29 @@ class CliError(Exception):
     pass
 
 
-def _load_graph(arg: str) -> tuple[Graph, str | None]:
-    """The graph named by arg and its family name, or None for a graph file."""
+def _load_graph(arg: str) -> tuple[Graph, tuple[str, tuple] | None]:
+    """The graph named by arg, and its family name and parameters, or None
+    for a graph file."""
     if os.path.isfile(arg):
         try:
             with open(arg) as fh:
                 return read_graph_text(fh.read()), None
         except (OSError, ValueError) as e:
             raise CliError(f"cannot read graph file {arg}: {e}") from None
-    return family(arg), parse_family(arg)[0]
+    return family(arg), parse_family(arg)
 
 
-def _facet_str(g: Graph, mask: int) -> str:
-    labels = [g.label(v) for v in to_tuple(mask)]
-    if all(len(s) == 1 for s in labels):
-        return "".join(labels)
-    return "{" + ",".join(labels) + "}"
+def _facet_line(g: Graph, masks) -> str:
+    """The facets' human text, separated by spaces: the labels of a facet's
+    vertices run together, or as ``{a,b}`` when one of them is not a single
+    character."""
+    labels = [g.label(v) for v in range(g.n)]
+    wide = mask_of(v for v, s in enumerate(labels) if len(s) != 1)
+    out = []
+    for mask in masks:
+        text = map(labels.__getitem__, to_tuple(mask))
+        out.append("{" + ",".join(text) + "}" if mask & wide else "".join(text))
+    return " ".join(out)
 
 
 def _emit(report: dict, as_json: bool, human_lines):
@@ -93,11 +100,12 @@ def _homology_lines(rep, prefix=""):
     ]
 
 
-def _predict(spec: str, k: int, cx, rep):
-    """The closed-form prediction for spec and whether the computed homology
-    matches it; (None, True) when no closed form covers spec."""
+def _predict(g: Graph, fam: tuple[str, tuple], k: int, cx, rep):
+    """The closed-form prediction for the family graph g, built from fam, its
+    family name and parameters, and whether the computed homology matches
+    it; (None, True) when no closed form covers it."""
     try:
-        pred = predicted_betti(spec, k)
+        pred = _closed_form(g, *fam, k)
     except NotCoveredError:
         return None, True
     return pred, pred.matches(cx, rep)
@@ -132,7 +140,7 @@ def cmd_build(args) -> int:
         report["f_vector"] = list(fvec)
         report["mu"] = cx.reduced_euler()
         if not args.json:  # one label string per facet: skip it when only JSON is printed
-            lines.append(f"facets ({len(cx.facets)}): " + " ".join(_facet_str(g, f) for f in cx.facets))
+            lines.append(f"facets ({len(cx.facets)}): " + _facet_line(g, cx.facets))
         lines.append(f"f-vector (from dim -1): {fvec}")
         lines.append(f"reduced Euler characteristic: {report['mu']}")
     holds, mu_formula = _formula_mu(g, cx)
@@ -158,7 +166,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    g, name = _load_graph(args.graph)
+    g, fam = _load_graph(args.graph)
     cx = cut_complex(g, args.k)
     report = {"graph": args.graph, "n": g.n, "k": args.k}
     lines = [f"graph: {args.graph} (n={g.n})", f"k: {args.k}"]
@@ -174,7 +182,7 @@ def cmd_homology(args) -> int:
         report["mu"] = cx.reduced_euler()
         report["euler_consistent"] = rep.euler() == cx.reduced_euler()
         lines += _homology_lines(rep) or ["all reduced homology vanishes"]
-    pred, ok = _predict(args.graph, args.k, cx, rep) if name else (None, True)
+    pred, ok = _predict(g, fam, args.k, cx, rep) if fam else (None, True)
     report["predicted"] = pred.to_json_obj() if pred else None
     if pred:
         report["predicted_matches"] = ok
@@ -198,12 +206,12 @@ def cmd_shell(args) -> int:
         tors = f" torsion {list(torsion)}" if torsion else ""
         lines.append(f"obstruction: H~_{dim}: rank {rank}{tors} below the top dimension {cx.dim}")
     if cert.order and not args.json:
-        lines.append("order: " + " ".join(_facet_str(g, mask_of(f)) for f in cert.order))
+        lines.append("order: " + _facet_line(g, map(mask_of, cert.order)))
     _emit(report, args.json, lines)
     return 0
 
 
-def _morse_matching(args, g: Graph, name: str | None):
+def _morse_matching(args, g: Graph, fam: tuple[str, tuple] | None):
     """The record's "order" value and the matching that ``--order`` names."""
     spec = args.order
     if spec == "restricted":
@@ -215,7 +223,7 @@ def _morse_matching(args, g: Graph, name: str | None):
             raise CliError("the tree matching targets k = 2")
         order = tree_matching_order(g, 0)
     elif spec == "prism":
-        if name != "prism":
+        if not fam or fam[0] != "prism":
             raise CliError("the prism order needs a prism:<n> graph argument")
         order = prism_matching_order(g.n // 2, args.k)
     else:
@@ -227,8 +235,8 @@ def _morse_matching(args, g: Graph, name: str | None):
 
 
 def cmd_morse(args) -> int:
-    g, name = _load_graph(args.graph)
-    order, matching = _morse_matching(args, g, name)
+    g, fam = _load_graph(args.graph)
+    order, matching = _morse_matching(args, g, fam)
     acyclic, census = verify_acyclic_and_critical(matching)
     report = {
         "graph": args.graph,
@@ -323,9 +331,10 @@ _TABLE1_SMALL = [
 
 
 def _verify_row(spec, k, expect_shellable, budget):
-    cx = cut_complex(family(spec), k)
+    g, fam = family(spec), parse_family(spec)
+    cx = cut_complex(g, k)
     rep = None if cx.is_void else reduced_homology(cx)
-    pred, match = _predict(spec, k, cx, rep)
+    pred, match = _predict(g, fam, k, cx, rep)
     cert = find_shelling(cx, budget=budget, homology=rep)
     row = {"family": spec, "k": k, "predicted": pred.to_json_obj() if pred else None, "shelling": cert.verdict}
     detail = [] if match else ["betti mismatch"]

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitsets import bits, ksubset_masks
+from .bitsets import bits, ksubset_masks, to_tuple, vertex_holders
 from .complexes import SimplicialComplex, relabel_densely
 from .graphs import (
     Graph,
     connected_ksets,
     disconnected_masks,
     family,
-    from_edge_list,
     has_triangle,
     parse_family,
     separator_closure,
@@ -72,8 +71,11 @@ def disconnected_ksets(g: Graph, k: int) -> list[int]:
     candidates = set()
     for m in small:
         rest = g.full_mask ^ m
-        singles = [1 << v for v in bits(rest)]
-        candidates.update(rest ^ sum(t) for t in combinations(singles, n - k - m.bit_count()))
+        t = n - k - m.bit_count()
+        if t:
+            candidates.update(rest ^ sum(s) for s in combinations([1 << v for v in to_tuple(rest)], t))
+        else:  # M is the whole complement, as on every graph realize_as_cut_complex builds
+            candidates.add(rest)
     return disconnected_masks(g, sorted(candidates))
 
 
@@ -196,11 +198,11 @@ def realize_as_cut_complex(cx: SimplicialComplex) -> tuple[Graph, int]:
     if len(facets) == 1:
         facets *= max(nv, 2)
     n = nv + len(facets)
-    edges = list(combinations(range(nv), 2))
-    for j, f in enumerate(facets):
-        apex = nv + j
-        edges.extend((u, apex) for u in bits(f))
-    return from_edge_list(n, edges), n - (cx.dim + 1)
+    clique = (1 << nv) - 1
+    # a complex vertex's apexes are the facets that hold it, shifted past the clique
+    holders = vertex_holders(facets)
+    adj = [clique ^ 1 << v | holders[v] << nv for v in range(nv)]
+    return Graph(n, (*adj, *facets)), n - (cx.dim + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +387,14 @@ _CLOSED_FORMS = {
 }
 
 
+def _closed_form(g: Graph, name: str, params: tuple, k: int) -> BettiPrediction:
+    """The closed-form prediction for the family graph g that ``name`` and
+    ``params`` built; NotCoveredError when no formula applies."""
+    if name not in _CLOSED_FORMS:
+        raise NotCoveredError(f"no closed form known for family {name!r}")
+    return _CLOSED_FORMS[name](g, k, *params)
+
+
 def predicted_betti(family_spec: str, k: int) -> BettiPrediction:
     """Closed-form homotopy prediction for a family DSL string. Raises
     FamilySpecError for a malformed spec and NotCoveredError when no formula
@@ -392,7 +402,4 @@ def predicted_betti(family_spec: str, k: int) -> BettiPrediction:
     if k < 1:
         raise ValueError("k must be >= 1")
     name, params = parse_family(family_spec)
-    g = family(family_spec)
-    if name not in _CLOSED_FORMS:
-        raise NotCoveredError(f"no closed form known for {family_spec!r}")
-    return _CLOSED_FORMS[name](g, k, *params)
+    return _closed_form(family(family_spec), name, params, k)

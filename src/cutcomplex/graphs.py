@@ -15,7 +15,12 @@ one flood step costs one lookup per byte of the set reached so far instead
 of one per vertex. The table is built once per graph, by doubling.
 ``disconnected_masks`` runs the flood over a whole sweep of masks in one
 call, and ``separator_closure`` floods the components whose neighbourhoods
-are the graph's minimal separators, through the same helper. The connected
+are the graph's minimal separators, through the same helper; there the first
+step of each flood, from one vertex, is read from ``adj`` instead, and for
+an isolated vertex it is the whole flood. ``is_chordal`` runs maximum
+cardinality search on weight buckets held as vertex masks, in O(n + m) mask
+steps, and ``Graph.edges`` reads each row's upper part a byte at a time
+through ``bitsets.to_tuple``. The connected
 k-sets are grown from their least vertex instead of swept
 (``connected_ksets``) unless k > n/2; they are the first level of the
 Alexander dual of the k-cut complex, which ``complexes`` walks upward from
@@ -51,7 +56,8 @@ class Graph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
+        """The edges (u, v), u < v, in increasing order."""
+        return [(u, v) for u, a in enumerate(self.adj) for v in to_tuple(a >> u + 1 << u + 1)]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -408,11 +414,17 @@ def _flood(reach, seen: int, m: int) -> int:
         seen = reached
 
 
-def _component_neighbourhoods(reach, m: int) -> Iterator[int]:
-    """Yield N(C) for each component C of g[m], lowest vertex first."""
+def _component_neighbourhoods(adj, reach, m: int) -> Iterator[int]:
+    """Yield N(C) for each component C of g[m], lowest vertex first. Each
+    flood's first step is ``adj[v] | 1 << v`` of the component's lowest
+    vertex v; for a vertex isolated in g[m] that step is the whole flood."""
     rest = m
     while rest:
-        closed = _flood(reach, rest & -rest, m)
+        low = rest & -rest
+        closed = adj[low.bit_length() - 1] | low
+        reached = closed & m
+        if reached != low and reached != m:
+            closed = _flood(reach, reached, m)
         if closed & m == m:  # m was covered before its closed neighbourhood was taken
             closed = _flood(reach, m, m)
         yield closed & ~m
@@ -431,20 +443,25 @@ def separator_closure(g: Graph) -> Iterator[tuple[int, list[int]]]:
     C of g - X gives the separator N(C). A set X already taken is not
     flooded again: on the graphs ``realize_as_cut_complex`` builds, S u N(x)
     is N[x] for every S, so the closure floods nothing the start has not.
+    Each flood's first step is read from ``g.adj`` of the component's lowest
+    vertex, and ``g.reach`` serves only the steps after it: on those graphs
+    most components of g - N[v] are isolated apexes, whose flood is that one
+    step.
     """
+    adj = g.adj
     reach = g.reach
     full = g.full_mask
     found: set[int] = set()
     todo: list[int] = []
     tried: set[int] = set()
-    removals = [g.adj[v] | 1 << v for v in range(g.n)]
+    removals = [a | 1 << v for v, a in enumerate(adj)]
     while True:
         for removed in removals:
             floods = 0
             new = []
             if removed not in tried:
                 tried.add(removed)
-                for sep in _component_neighbourhoods(reach, full & ~removed):
+                for sep in _component_neighbourhoods(adj, reach, full & ~removed):
                     floods += 1
                     if sep not in found:
                         found.add(sep)
@@ -454,7 +471,7 @@ def separator_closure(g: Graph) -> Iterator[tuple[int, list[int]]]:
         if not todo:
             return
         sep = todo.pop()
-        removals = [sep | g.adj[x] for x in bits(sep)]
+        removals = [sep | adj[x] for x in to_tuple(sep)]
 
 
 def minimal_separators(g: Graph) -> list[int]:
@@ -469,29 +486,48 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
     Returns (True, elimination order) or (False, None). In the witness order,
     each vertex's neighbors among later vertices form a clique.
+
+    The search (Tarjan and Yannakakis, 1984) numbers next the unnumbered
+    vertex with the most numbered neighbours, the least such vertex on a tie,
+    and the witness is the reverse of that numbering. The unnumbered vertices
+    are held in buckets, one vertex mask per weight; numbering z of weight w
+    moves its unnumbered neighbours up one bucket, walking the buckets from w
+    down until none is left, so the search costs at most w + 1 mask steps
+    for z and O(n + m) in all. The check runs as z is numbered: its
+    neighbours numbered before it, read off the mask of the numbered
+    vertices, must lie in N[u] for u the last of them numbered.
     """
-    n = g.n
-    weight = [0] * n
-    unnumbered = set(range(n))
+    adj = g.adj
+    buckets = [g.full_mask] + [0] * g.n  # buckets[w]: the unnumbered vertices of weight w
+    top = 0
+    done = 0  # the numbered vertices
     visit = []
-    for _ in range(n):
-        z = max(unnumbered, key=lambda v: (weight[v], -v))
-        unnumbered.remove(z)
+    step = [0] * g.n  # step[v]: the position of v in visit
+    for i in range(g.n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        z = low.bit_length() - 1
+        before = adj[z] & done
+        if before:
+            u = visit[max(map(step.__getitem__, to_tuple(before)))]
+            if (before ^ 1 << u) & ~adj[u]:
+                return False, None
+        step[z] = i
         visit.append(z)
-        for y in bits(g.adj[z]):
-            if y in unnumbered:
-                weight[y] += 1
-    peo = visit[::-1]
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in bits(g.adj[v]) if pos[u] > pos[v]]
-        if not later:
-            continue
-        u = min(later, key=pos.__getitem__)
-        rest = mask_of(x for x in later if x != u)
-        if rest & ~g.adj[u]:
-            return False, None
-    return True, tuple(peo)
+        done |= low
+        near = adj[z] & ~done
+        w = top
+        while near:
+            moving = buckets[w] & near
+            if moving:
+                buckets[w] ^= moving
+                buckets[w + 1] |= moving
+                near ^= moving
+            w -= 1
+        top += 1
+    return True, tuple(reversed(visit))
 
 
 def shortest_cycle_length(g: Graph) -> int | None:
